@@ -4,12 +4,13 @@
 //! cache. Because each load's address comes from the previous load's data, the loads execute
 //! serially and the average load-to-use latency is simply `elapsed / loads` — which is exactly
 //! how [`mess_cpu::RunReport::dependent_load_latency`] computes it for the probe core.
+//!
+//! The walk is the same single-cycle Sattolo chase as multichase's
+//! ([`mess_workloads::latency::sattolo_chase`]), over its own array.
 
-use mess_cpu::{Op, OpBlock, OpStream, PackedOp};
+use mess_cpu::ProgramStream;
 use mess_types::CACHE_LINE_BYTES;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use mess_workloads::latency::sattolo_chase;
 use serde::{Deserialize, Serialize};
 
 /// Base address of the pointer-chase array; kept away from the traffic generator's arrays.
@@ -36,79 +37,28 @@ impl PointerChaseConfig {
         }
     }
 
-    /// Builds the probe's op stream.
-    pub fn stream(&self) -> PointerChaseStream {
-        PointerChaseStream::new(*self)
+    /// Builds the probe's op stream: a program over one (possibly partial) lap of the
+    /// single-cycle permutation, repeated until `loads` hops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the array has more than `u32::MAX` cache lines.
+    pub fn stream(&self) -> ProgramStream {
+        let lines = (self.array_bytes / CACHE_LINE_BYTES).max(2);
+        sattolo_chase(
+            CHASE_BASE,
+            lines,
+            self.loads,
+            self.seed,
+            "mess:pointer-chase",
+        )
     }
-}
-
-/// The dependent-load op stream of the pointer-chase probe.
-#[derive(Debug, Clone)]
-pub struct PointerChaseStream {
-    next_line: Vec<u32>,
-    current: u32,
-    remaining: u64,
-    label: String,
-}
-
-impl PointerChaseStream {
-    /// Creates the probe stream, building the single-cycle permutation.
-    pub fn new(config: PointerChaseConfig) -> Self {
-        let lines = (config.array_bytes / CACHE_LINE_BYTES).max(2) as u32;
-        PointerChaseStream {
-            next_line: single_cycle_permutation(lines, config.seed),
-            current: 0,
-            remaining: config.loads,
-            label: "mess:pointer-chase".to_string(),
-        }
-    }
-}
-
-impl OpStream for PointerChaseStream {
-    fn next_op(&mut self) -> Option<Op> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let addr = CHASE_BASE + self.current as u64 * CACHE_LINE_BYTES;
-        self.current = self.next_line[self.current as usize];
-        Some(Op::dependent_load(addr))
-    }
-
-    fn fill_block(&mut self, out: &mut OpBlock) -> usize {
-        // Compiled refill: walk the pre-built permutation table in a tight packed loop.
-        out.clear();
-        while !out.is_full() && self.remaining > 0 {
-            self.remaining -= 1;
-            out.push(PackedOp::dependent_load(
-                CHASE_BASE + self.current as u64 * CACHE_LINE_BYTES,
-            ));
-            self.current = self.next_line[self.current as usize];
-        }
-        out.len()
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-}
-
-/// Builds a permutation of `0..n` that forms a single cycle, so a chase starting anywhere
-/// visits every line exactly once per lap.
-fn single_cycle_permutation(n: u32, seed: u64) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    order.shuffle(&mut rng);
-    let mut next = vec![0u32; n as usize];
-    for i in 0..n as usize {
-        next[order[i] as usize] = order[(i + 1) % n as usize];
-    }
-    next
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mess_cpu::{Op, OpStream, PackedOp};
     use std::collections::HashSet;
 
     #[test]
@@ -156,26 +106,26 @@ mod tests {
             loads in 0u64..1500,
             seed in 0u64..1_000_000,
         ) {
-            // The compiled (fill_block) walk must be op-for-op identical to the interpreted
-            // one, including exhaustion at the load cap and block-boundary crossings.
+            // The block refill must be op-for-op identical to the per-op walk, including
+            // exhaustion at the load cap and block-boundary crossings.
             let config = PointerChaseConfig {
                 array_bytes: lines * CACHE_LINE_BYTES,
                 loads,
                 seed,
             };
-            let mut interpreted = config.stream();
-            let mut compiled = config.stream();
+            let mut by_op = config.stream();
+            let mut by_block = config.stream();
             let mut expected = Vec::new();
-            while let Some(op) = interpreted.next_op() {
+            while let Some(op) = by_op.next_op() {
                 expected.push(op);
             }
             let mut got = Vec::new();
             let mut block = mess_cpu::OpBlock::new();
-            while compiled.fill_block(&mut block) > 0 {
+            while by_block.fill_block(&mut block) > 0 {
                 got.extend(block.as_slice().iter().map(|p| p.unpack()));
             }
             proptest::prop_assert_eq!(got, expected);
-            proptest::prop_assert_eq!(compiled.fill_block(&mut block), 0);
+            proptest::prop_assert_eq!(by_block.fill_block(&mut block), 0);
         }
     }
 
@@ -186,7 +136,7 @@ mod tests {
             loads: 64,
             seed: 5,
         };
-        let walk = |mut s: PointerChaseStream| {
+        let walk = |mut s: ProgramStream| {
             let mut v = Vec::new();
             while let Some(Op::Load { addr, .. }) = s.next_op() {
                 v.push(addr);
@@ -194,5 +144,32 @@ mod tests {
             v
         };
         assert_eq!(walk(config.stream()), walk(config.stream()));
+    }
+
+    #[test]
+    fn the_walk_is_pinned_by_its_digest() {
+        // FNV-1a of the label and packed ops, recorded from the table-walk implementation
+        // this program replaced: a 400-load probe over 4 × 256 KiB, and a run of 2.5 laps.
+        let digest = |mut s: ProgramStream| {
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            let mut fold = |bytes: &[u8]| {
+                for &b in bytes {
+                    hash = (hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+                }
+            };
+            fold(s.label().as_bytes());
+            while let Some(op) = s.next_op() {
+                fold(&PackedOp::pack(op).raw().to_le_bytes());
+            }
+            hash
+        };
+        let quick = PointerChaseConfig::sized_against_llc(256 * 1024, 400);
+        assert_eq!(digest(quick.stream()), 0xaba1_4ef2_c6ae_e941);
+        let laps = PointerChaseConfig {
+            array_bytes: 64 * 1000,
+            loads: 2_500,
+            seed: 3,
+        };
+        assert_eq!(digest(laps.stream()), 0xa2fe_b187_29ab_555f);
     }
 }

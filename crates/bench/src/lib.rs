@@ -38,7 +38,7 @@ pub mod sweep;
 pub mod trace;
 pub mod traffic;
 
-pub use chase::{PointerChaseConfig, PointerChaseStream};
+pub use chase::PointerChaseConfig;
 pub use sweep::{
     characterize, characterize_spec, characterize_with, measure_point, Characterization,
     MeasuredPoint, SweepConfig, SweepPreset, SweepSpec,

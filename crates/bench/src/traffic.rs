@@ -87,60 +87,41 @@ impl TrafficStream {
     fn store_base(&self) -> u64 {
         self.load_base() + LANE_BLOCK_BYTES / 2
     }
-}
 
-impl OpStream for TrafficStream {
-    fn next_op(&mut self) -> Option<Op> {
+    /// The lane's one step: the pacing compute block if one is due, else the next load or
+    /// store. The lane is not a periodic program: `store_accum` is a float accumulator, and
+    /// fractional store mixes (e.g. 0.3) drift in binary floating point rather than
+    /// repeating exactly, so the generator runs per op instead of replaying a fixed body.
+    #[inline]
+    fn next_packed(&mut self) -> PackedOp {
         if self.pause_pending {
             self.pause_pending = false;
-            return Some(Op::compute(self.config.pause_cycles));
+            return PackedOp::compute(self.config.pause_cycles);
         }
         if self.config.pause_cycles > 0 {
             self.pause_pending = true;
         }
         self.store_accum += self.config.store_mix;
-        let op = if self.store_accum >= 1.0 {
+        if self.store_accum >= 1.0 {
             self.store_accum -= 1.0;
             let addr = self.store_base() + self.store_line * CACHE_LINE_BYTES;
             self.store_line = (self.store_line + 1) % self.lines;
-            Op::store(addr)
+            PackedOp::store(addr)
         } else {
             let addr = self.load_base() + self.load_line * CACHE_LINE_BYTES;
             self.load_line = (self.load_line + 1) % self.lines;
-            Op::load(addr)
-        };
-        Some(op)
+            PackedOp::load(addr)
+        }
+    }
+}
+
+impl OpStream for TrafficStream {
+    fn next_op(&mut self) -> Option<Op> {
+        Some(self.next_packed().unpack())
     }
 
     fn fill_block(&mut self, out: &mut OpBlock) -> usize {
-        // Compiled refill. The lane is NOT a periodic program: `store_accum` is a float
-        // accumulator, and fractional store mixes (e.g. 0.3) drift in binary floating point
-        // rather than repeating exactly — so the block replays the accumulator logic
-        // verbatim instead of materializing a "repeating" body that would diverge from the
-        // interpreted sequence after a few laps.
-        out.clear();
-        while !out.is_full() {
-            if self.pause_pending {
-                self.pause_pending = false;
-                out.push(PackedOp::compute(self.config.pause_cycles));
-                continue;
-            }
-            if self.config.pause_cycles > 0 {
-                self.pause_pending = true;
-            }
-            self.store_accum += self.config.store_mix;
-            if self.store_accum >= 1.0 {
-                self.store_accum -= 1.0;
-                let addr = self.store_base() + self.store_line * CACHE_LINE_BYTES;
-                self.store_line = (self.store_line + 1) % self.lines;
-                out.push(PackedOp::store(addr));
-            } else {
-                let addr = self.load_base() + self.load_line * CACHE_LINE_BYTES;
-                self.load_line = (self.load_line + 1) % self.lines;
-                out.push(PackedOp::load(addr));
-            }
-        }
-        out.len()
+        out.fill_with(|| Some(self.next_packed()))
     }
 
     fn label(&self) -> &str {
@@ -214,20 +195,19 @@ mod tests {
             pause in 0u32..100,
             lane in 0u32..4,
         ) {
-            // The lane's float accumulator makes its op sequence non-periodic, so the
-            // compiled refill replays the generator logic — and must track the interpreted
-            // stream exactly, including across block boundaries.
+            // The block refill and the per-op path share one step function and must track
+            // each other exactly, including across block boundaries.
             let config = TrafficConfig { store_mix: mix, pause_cycles: pause, array_bytes: 1 << 16 };
-            let mut interpreted = TrafficStream::new(config, lane);
-            let mut compiled = TrafficStream::new(config, lane);
+            let mut by_op = TrafficStream::new(config, lane);
+            let mut by_block = TrafficStream::new(config, lane);
             let mut block = mess_cpu::OpBlock::new();
             let mut drained = Vec::new();
             for _ in 0..5 {
-                prop_assert!(compiled.fill_block(&mut block) > 0, "traffic lanes are infinite");
+                prop_assert!(by_block.fill_block(&mut block) > 0, "traffic lanes are infinite");
                 drained.extend(block.as_slice().iter().map(|p| p.unpack()));
             }
             for got in drained {
-                prop_assert_eq!(Some(got), interpreted.next_op());
+                prop_assert_eq!(Some(got), by_op.next_op());
             }
         }
 

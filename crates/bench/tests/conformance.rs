@@ -31,7 +31,7 @@ fn recorder_and_benchmark_streams_are_send_at_the_type_level() {
     // at the trait level — this pins the concrete types and the recorder wrapper too.
     fn assert_send<T: Send>() {}
     assert_send::<RecordingBackend<FixedLatencyModel>>();
-    assert_send::<mess_bench::PointerChaseStream>();
+    assert_send::<mess_cpu::ProgramStream>();
     assert_send::<mess_bench::TrafficStream>();
     assert_send::<Box<dyn mess_cpu::OpStream>>();
 }

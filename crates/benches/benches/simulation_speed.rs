@@ -93,12 +93,12 @@ fn quick_mode() -> bool {
 }
 
 /// Per-process workload fixture. The heavyweight inputs — the platform spec, the
-/// pointer-chase permutation and the Mess model's reference curve family — are built once,
+/// pointer-chase program and the Mess model's reference curve family — are built once,
 /// outside the timed region; per-run backend/engine construction stays inside it (standing
 /// up a model is part of a simulation run, and it is microseconds next to the run itself).
 struct Fixture {
     platform: mess_platforms::PlatformSpec,
-    chase: mess_bench::PointerChaseStream,
+    chase: mess_cpu::ProgramStream,
     curves: mess_core::CurveFamily,
 }
 
@@ -178,8 +178,9 @@ impl Fixture {
 }
 
 /// The workload-compile stage cases: specs spanning the compile pass's cost range, from
-/// header-only lowering (STREAM: a four-op body plus trip counts) to materializing a full
-/// Sattolo lap (multichase: one packed op per working-set line).
+/// header-only lowering (STREAM: a four-op body plus trip counts) to materializing a
+/// Sattolo lap (multichase: a shuffle of the working set's lines, then one packed op per
+/// hop, cut at `min(lines, loads)`).
 fn compile_cases() -> Vec<(&'static str, WorkloadSpec)> {
     vec![
         ("stream-triad", WorkloadSpec::stream(StreamKernel::Triad, 4)),

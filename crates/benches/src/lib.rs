@@ -12,8 +12,6 @@
 //!   CI builds it with the `release-bench` profile (`lto = "thin"`, one codegen unit).
 //! * `figures` — one timed entry point per paper figure/table, each running the
 //!   corresponding `mess-harness` experiment driver;
-//! * `backend_protocol` — the v2 event-driven backend protocol versus the v1 lockstep loop
-//!   (acceptance bar: ≥2× on pointer-chase);
 //! * `parallel_sweep` — the `mess-exec` parallel characterization sweep at 1 vs 4 workers
 //!   (acceptance bar: ≥2× at 4 workers on a ≥4-thread host).
 //!

@@ -95,21 +95,15 @@ pub trait OpStream: Send {
     /// This is the engine's hot-path entry point: one virtual call buys up to
     /// [`OP_BLOCK_CAPACITY`](crate::program::OP_BLOCK_CAPACITY) operations. The default
     /// implementation delegates to `next_op`, which monomorphizes per concrete stream type —
-    /// so even streams that don't override it stop paying per-op virtual dispatch. Compiled
-    /// streams ([`ProgramStream`](crate::program::ProgramStream) and the generator overrides
-    /// in `mess-workloads`/`mess-bench`) refill with a tight packed loop instead.
+    /// so even streams that don't override it stop paying per-op virtual dispatch. The
+    /// workload generators ([`ProgramStream`](crate::program::ProgramStream) and the
+    /// hand-written streams in `mess-workloads`/`mess-bench`) have one packed step function
+    /// that both `next_op` and this method call, so the two paths cannot diverge.
     ///
-    /// The block sequence must match the `next_op` sequence op-for-op; the equivalence
-    /// suites in `mess-workloads` and `mess-bench` pin this for every shipped stream.
+    /// The block sequence must match the `next_op` sequence op-for-op; the block-boundary
+    /// tests in `mess-workloads` and `mess-bench` pin this for every shipped stream.
     fn fill_block(&mut self, out: &mut OpBlock) -> usize {
-        out.clear();
-        while !out.is_full() {
-            match self.next_op() {
-                Some(op) => out.push(PackedOp::pack(op)),
-                None => break,
-            }
-        }
-        out.len()
+        out.fill_with(|| self.next_op().map(PackedOp::pack))
     }
 
     /// A short label used in reports.
@@ -146,17 +140,6 @@ impl VecStream {
 impl OpStream for VecStream {
     fn next_op(&mut self) -> Option<Op> {
         self.ops.next()
-    }
-
-    fn fill_block(&mut self, out: &mut OpBlock) -> usize {
-        out.clear();
-        while !out.is_full() {
-            match self.ops.next() {
-                Some(op) => out.push(PackedOp::pack(op)),
-                None => break,
-            }
-        }
-        out.len()
     }
 
     fn label(&self) -> &str {

@@ -1,9 +1,8 @@
 //! Compiled request programs: flat, pre-resolved op buffers the engine consumes in blocks.
 //!
-//! The interpreted workload path pays a virtual [`crate::ops::OpStream::next_op`] call, an enum decode
-//! and (for the random workloads) an RNG dispatch *per operation* — which is exactly the
-//! per-op overhead `BENCH_simspeed.json` shows capping every fast backend at the same
-//! ceiling. This module provides the compiled alternative:
+//! Pulling operations one at a time costs a virtual [`crate::ops::OpStream::next_op`]
+//! call, an enum decode and (for the random workloads) an RNG dispatch *per operation*.
+//! This module is the block-based form every shipped workload compiles to:
 //!
 //! * [`PackedOp`] — one `u64` per operation: a 2-bit kind tag (load / dependent load /
 //!   store / compute) in the top bits, the byte address (or the compute-cycle count)
@@ -15,9 +14,12 @@
 //! * [`OpProgram`] / [`ProgramStream`] — a flat packed body plus a repeat/trip-count
 //!   header. A STREAM kernel compiles to its literal per-line micro-sequence with a
 //!   per-trip address stride and a trip count; a strided latency sweep is a one-op body
-//!   with a wrapping stride; a pointer chase is one pre-materialized lap repeated forever.
-//!   Executing a program never calls a closure, never draws from an RNG and never branches
-//!   on workload configuration.
+//!   with a wrapping stride; a pointer chase is one pre-materialized (possibly partial)
+//!   lap repeated up to its load count. Executing a program never calls a closure, never
+//!   draws from an RNG and never branches on workload configuration.
+//!
+//! Generators that cannot be a fixed program (GUPS, the HPCG proxy, the Mess traffic
+//! lanes) keep one packed step function and refill through [`OpBlock::fill_with`].
 //!
 //! [`OpStream::fill_block`]: crate::ops::OpStream::fill_block
 
@@ -239,6 +241,21 @@ impl OpBlock {
     pub fn as_slice(&self) -> &[PackedOp] {
         &self.ops
     }
+
+    /// Clears the block and refills it from `next` until the block is full or `next`
+    /// returns `None`, returning the new length — the body of every
+    /// [`OpStream::fill_block`](crate::ops::OpStream::fill_block).
+    #[inline]
+    pub fn fill_with(&mut self, mut next: impl FnMut() -> Option<PackedOp>) -> usize {
+        self.ops.clear();
+        while !self.is_full() {
+            match next() {
+                Some(op) => self.ops.push(op),
+                None => break,
+            }
+        }
+        self.ops.len()
+    }
 }
 
 impl Default for OpBlock {
@@ -414,14 +431,7 @@ impl crate::ops::OpStream for ProgramStream {
     }
 
     fn fill_block(&mut self, out: &mut OpBlock) -> usize {
-        out.clear();
-        while !out.is_full() {
-            match self.next_packed() {
-                Some(op) => out.push(op),
-                None => break,
-            }
-        }
-        out.len()
+        out.fill_with(|| self.next_packed())
     }
 
     fn label(&self) -> &str {

@@ -41,9 +41,8 @@
 //! ```
 //!
 //! Latency-bound runs skip the hundreds of dead cycles between a request and its
-//! completion (≥10× wall-clock on a pointer-chase; see the `backend_protocol` Criterion
-//! bench), while bandwidth-bound runs pay one virtual call per cycle instead of one per
-//! request.
+//! completion (messbench reports the payoff as `cpu.cycles_per_tick`), while
+//! bandwidth-bound runs pay one virtual call per cycle instead of one per request.
 //!
 //! # Parallel execution
 //!

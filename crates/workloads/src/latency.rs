@@ -6,7 +6,7 @@
 //! validate the Mess unloaded-latency measurements (§II-B) and as low-bandwidth workloads in
 //! the IPC-error comparison (Figs. 11 and 13).
 
-use mess_cpu::{Op, OpProgram, OpStream, PackedOp};
+use mess_cpu::{Op, OpProgram, OpStream, PackedOp, ProgramStream};
 use mess_types::CACHE_LINE_BYTES;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -38,15 +38,10 @@ impl LatMemRdConfig {
         }
     }
 
-    /// The op stream of the benchmark (a single-core workload).
+    /// The op stream of the benchmark (a single-core workload): a one-op program body (a
+    /// dependent load at the working set's base) whose per-trip stride wraps modulo the
+    /// working-set size.
     pub fn stream(&self) -> Box<dyn OpStream> {
-        Box::new(LatMemRdStream::new(*self))
-    }
-
-    /// Compiled form: a one-op program body (a dependent load at the working set's base)
-    /// whose per-trip stride wraps modulo the working-set size — op-for-op identical to
-    /// [`LatMemRdConfig::stream`] with no per-op state machine.
-    pub fn compiled_stream(&self) -> Box<dyn OpStream> {
         let body = vec![PackedOp::pack(Op::dependent_load(CHASE_BASE))];
         Box::new(
             OpProgram::new(body, 1)
@@ -55,43 +50,6 @@ impl LatMemRdConfig {
                 .with_total_ops(self.loads)
                 .stream("lmbench:lat_mem_rd"),
         )
-    }
-}
-
-/// Strided dependent-load stream.
-#[derive(Debug, Clone)]
-pub struct LatMemRdStream {
-    config: LatMemRdConfig,
-    issued: u64,
-    offset: u64,
-    label: String,
-}
-
-impl LatMemRdStream {
-    /// Creates the stream.
-    pub fn new(config: LatMemRdConfig) -> Self {
-        LatMemRdStream {
-            config,
-            issued: 0,
-            offset: 0,
-            label: "lmbench:lat_mem_rd".to_string(),
-        }
-    }
-}
-
-impl OpStream for LatMemRdStream {
-    fn next_op(&mut self) -> Option<Op> {
-        if self.issued >= self.config.loads {
-            return None;
-        }
-        self.issued += 1;
-        let addr = CHASE_BASE + self.offset;
-        self.offset = (self.offset + self.config.stride_bytes) % self.config.array_bytes.max(1);
-        Some(Op::dependent_load(addr))
-    }
-
-    fn label(&self) -> &str {
-        &self.label
     }
 }
 
@@ -116,94 +74,58 @@ impl MultichaseConfig {
         }
     }
 
-    /// The op stream of the benchmark (a single-core workload).
+    /// Cache lines in the working set (at least two, so the chase has somewhere to go).
+    pub fn lines(&self) -> u64 {
+        (self.array_bytes / CACHE_LINE_BYTES).max(2)
+    }
+
+    /// The op stream of the benchmark (a single-core workload); see [`sattolo_chase`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the working set has more than `u32::MAX` lines.
     pub fn stream(&self) -> Box<dyn OpStream> {
-        Box::new(MultichaseStream::new(*self))
-    }
-
-    /// Compiled form: the Sattolo-cycle walk is materialized **once** as a literal one-lap
-    /// program body (the single-cycle property closes the lap after exactly `lines` hops),
-    /// repeated until the load count is reached — op-for-op identical to
-    /// [`MultichaseConfig::stream`] with no per-op table lookup.
-    pub fn compiled_stream(&self) -> Box<dyn OpStream> {
-        let lines = (self.array_bytes / CACHE_LINE_BYTES).max(2) as u32;
-        let next_line = sattolo_cycle(lines, self.seed);
-        let mut body = Vec::with_capacity(lines as usize);
-        let mut current = 0u32;
-        for _ in 0..lines {
-            body.push(PackedOp::pack(Op::dependent_load(
-                CHASE_BASE + current as u64 * CACHE_LINE_BYTES,
-            )));
-            current = next_line[current as usize];
-        }
-        debug_assert_eq!(current, 0, "a Sattolo cycle closes after one full lap");
-        Box::new(
-            OpProgram::new(body, 1)
-                .with_total_ops(self.loads)
-                .stream("multichase:pointer-chase"),
-        )
+        Box::new(sattolo_chase(
+            CHASE_BASE,
+            self.lines(),
+            self.loads,
+            self.seed,
+            "multichase:pointer-chase",
+        ))
     }
 }
 
-/// Random-permutation dependent-load stream.
+/// A chase of `loads` dependent loads over the `lines` cache lines from `base`, following a
+/// single random cycle built with Sattolo's algorithm — the initialization of the real
+/// multichase and of the Mess pointer-chase. Every line is visited once per lap, and the
+/// next address is only known once the current load returns.
 ///
-/// The permutation is a single cycle over all cache lines of the working set (built with
-/// Sattolo's algorithm), exactly like the initialization of the real multichase and of the
-/// Mess pointer-chase: every line is visited once per lap and the next address is only known
-/// once the current load returns.
-#[derive(Debug, Clone)]
-pub struct MultichaseStream {
-    next_line: Vec<u32>,
-    current: u32,
-    issued: u64,
-    loads: u64,
-    label: String,
-}
-
-impl MultichaseStream {
-    /// Creates the stream, building the pointer-chain permutation.
-    pub fn new(config: MultichaseConfig) -> Self {
-        let lines = (config.array_bytes / CACHE_LINE_BYTES).max(2) as u32;
-        let next_line = sattolo_cycle(lines, config.seed);
-        MultichaseStream {
-            next_line,
-            current: 0,
-            issued: 0,
-            loads: config.loads,
-            label: "multichase:pointer-chase".to_string(),
-        }
-    }
-}
-
-impl OpStream for MultichaseStream {
-    fn next_op(&mut self) -> Option<Op> {
-        if self.issued >= self.loads {
-            return None;
-        }
-        self.issued += 1;
-        let addr = CHASE_BASE + self.current as u64 * CACHE_LINE_BYTES;
-        self.current = self.next_line[self.current as usize];
-        Some(Op::dependent_load(addr))
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-}
-
-/// Builds a single-cycle permutation of `n` elements (Sattolo's algorithm): following
-/// `next[i]` from any start visits every element before returning to the start.
-pub fn sattolo_cycle(n: u32, seed: u64) -> Vec<u32> {
+/// The walk from line 0 along the cycle is the shuffled order rotated to start at line 0,
+/// so the program body is that rotation cut at `min(lines, loads)`: a partial lap for a
+/// short run, or one full lap repeated until the load count is reached.
+///
+/// # Panics
+///
+/// Panics if `lines` is zero or above `u32::MAX` (the shuffle works on `u32` line
+/// indices). [`crate::WorkloadSpec::compile`] rejects such specs with an error instead.
+pub fn sattolo_chase(base: u64, lines: u64, loads: u64, seed: u64, label: &str) -> ProgramStream {
+    let n = u32::try_from(lines)
+        .ok()
+        .filter(|&n| n > 0)
+        .expect("a pointer chase needs between 1 and u32::MAX lines");
     let mut order: Vec<u32> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    order.shuffle(&mut rng);
-    let mut next = vec![0u32; n as usize];
-    for i in 0..n as usize {
-        let from = order[i];
-        let to = order[(i + 1) % n as usize];
-        next[from as usize] = to;
-    }
-    next
+    order.shuffle(&mut StdRng::seed_from_u64(seed));
+    let start = order
+        .iter()
+        .position(|&line| line == 0)
+        .expect("line 0 is on the cycle");
+    let body = order[start..]
+        .iter()
+        .chain(&order[..start])
+        .take(lines.min(loads) as usize)
+        .map(|&line| PackedOp::dependent_load(base + line as u64 * CACHE_LINE_BYTES))
+        .collect();
+    OpProgram::new(body, 1).with_total_ops(loads).stream(label)
 }
 
 #[cfg(test)]
@@ -248,21 +170,32 @@ mod tests {
         assert_eq!(addrs, vec![0, 256, 512, 768, 0, 256, 512, 768]);
     }
 
+    /// The line indices of the first `loads` hops of a chase over `n` lines.
+    fn chase_lines(n: u32, loads: u64, seed: u64) -> Vec<u64> {
+        let mut stream = sattolo_chase(0, n as u64, loads, seed, "t");
+        std::iter::from_fn(|| stream.next_op())
+            .map(|op| match op {
+                Op::Load {
+                    addr,
+                    dependent: true,
+                } => addr / CACHE_LINE_BYTES,
+                other => panic!("a chase emits only dependent loads, got {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn sattolo_permutation_is_a_single_cycle() {
         let n = 257;
-        let next = sattolo_cycle(n, 42);
-        let mut seen = HashSet::new();
-        let mut at = 0u32;
-        for _ in 0..n {
-            assert!(
-                seen.insert(at),
-                "revisited element {at} before the full cycle"
-            );
-            at = next[at as usize];
-        }
-        assert_eq!(at, 0, "the chain must close after visiting every element");
-        assert_eq!(seen.len(), n as usize);
+        let walk = chase_lines(n, 2 * n as u64, 42);
+        let lap: HashSet<u64> = walk[..n as usize].iter().copied().collect();
+        assert_eq!(lap.len(), n as usize, "one lap visits every line once");
+        assert_eq!(walk[0], 0, "the chase starts at line 0");
+        assert_eq!(
+            walk[..n as usize],
+            walk[n as usize..],
+            "every lap repeats the cycle"
+        );
     }
 
     #[test]
@@ -289,27 +222,25 @@ mod tests {
             n in 1u32..700,
             seed in 0u64..1_000_000_000,
         ) {
-            // Following `next` from index 0 must visit every index exactly once and land
-            // back on 0 after exactly `n` hops — the property the multichase stream (and
-            // the real multichase's initialization) relies on.
-            let next = sattolo_cycle(n, seed);
-            proptest::prop_assert_eq!(next.len(), n as usize);
+            // From line 0 the chase must visit every line exactly once and land back on 0
+            // after exactly `n` hops — the property the multichase stream (and the real
+            // multichase's initialization) relies on.
+            let walk = chase_lines(n, n as u64 + 1, seed);
             let mut seen = vec![false; n as usize];
-            let mut at = 0u32;
-            for _ in 0..n {
+            for &line in &walk[..n as usize] {
                 proptest::prop_assert!(
-                    !seen[at as usize],
-                    "revisited index {} before the cycle closed (n={}, seed={})",
-                    at,
+                    !seen[line as usize],
+                    "revisited line {} before the cycle closed (n={}, seed={})",
+                    line,
                     n,
                     seed
                 );
-                seen[at as usize] = true;
-                at = next[at as usize];
+                seen[line as usize] = true;
             }
-            proptest::prop_assert_eq!(at, 0);
-            proptest::prop_assert!(seen.iter().all(|&v| v), "every index must be visited");
+            proptest::prop_assert_eq!(walk[0], 0);
+            proptest::prop_assert_eq!(walk[n as usize], 0);
         }
+
     }
 
     #[test]

@@ -50,24 +50,23 @@ impl GupsConfig {
             .map(|core| Box::new(GupsStream::new(*self, core)) as Box<dyn OpStream>)
             .collect()
     }
-
-    /// Compiled per-core streams: op-for-op identical to [`GupsConfig::streams`], but the
-    /// RNG is hoisted out of the per-op path — table addresses are pre-generated in
-    /// `GUPS_CHUNK`-sized chunks and the block-refill path is a tight packed loop.
-    pub fn compiled_streams(&self) -> Vec<Box<dyn OpStream>> {
-        (0..self.cores)
-            .map(|core| Box::new(CompiledGupsStream::new(*self, core)) as Box<dyn OpStream>)
-            .collect()
-    }
 }
 
-/// One core's random read-modify-write stream.
+/// Table addresses [`GupsStream`] draws per chunk: one RNG pass every 4096 updates instead
+/// of one RNG dispatch per update.
+const GUPS_CHUNK: usize = 4096;
+
+/// One core's random read-modify-write stream: each update is a dependent load of a random
+/// table entry followed by a store to the same line (`table[x] ^= value`).
 #[derive(Debug, Clone)]
 pub struct GupsStream {
     rng: StdRng,
     mask: u64,
     remaining: u64,
     pending_store: Option<u64>,
+    /// Pre-generated table addresses, consumed front to back.
+    chunk: Vec<u64>,
+    chunk_pos: usize,
     label: String,
 }
 
@@ -82,63 +81,6 @@ impl GupsStream {
             mask: lines - 1,
             remaining: config.updates_per_core,
             pending_store: None,
-            label: format!("gups[core {core}]"),
-        }
-    }
-}
-
-impl OpStream for GupsStream {
-    fn next_op(&mut self) -> Option<Op> {
-        // Each update is a dependent load (the table entry) followed by a store to the same
-        // line: `table[x] ^= value`.
-        if let Some(addr) = self.pending_store.take() {
-            return Some(Op::store(addr));
-        }
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let line = self.rng.gen::<u64>() & self.mask;
-        let addr = GUPS_BASE + line * CACHE_LINE_BYTES;
-        self.pending_store = Some(addr);
-        Some(Op::dependent_load(addr))
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-}
-
-/// Table addresses pre-generated per chunk by [`CompiledGupsStream`]: one RNG pass every
-/// 4096 updates instead of one RNG dispatch per update.
-const GUPS_CHUNK: usize = 4096;
-
-/// The compiled form of [`GupsStream`]: the same seed, the same RNG draw sequence and the
-/// same load/store alternation, but addresses come from a pre-generated chunk and block
-/// refills run a tight packed loop.
-#[derive(Debug, Clone)]
-pub struct CompiledGupsStream {
-    rng: StdRng,
-    mask: u64,
-    remaining: u64,
-    pending_store: Option<u64>,
-    /// Pre-generated table addresses, consumed front to back.
-    chunk: Vec<u64>,
-    chunk_pos: usize,
-    label: String,
-}
-
-impl CompiledGupsStream {
-    /// Creates the compiled stream for `core` (seeded exactly like [`GupsStream::new`]).
-    pub fn new(config: GupsConfig, core: u32) -> Self {
-        let lines = (config.table_bytes / CACHE_LINE_BYTES)
-            .next_power_of_two()
-            .max(2);
-        CompiledGupsStream {
-            rng: StdRng::seed_from_u64(config.seed ^ (core as u64).wrapping_mul(0x9e37_79b9)),
-            mask: lines - 1,
-            remaining: config.updates_per_core,
-            pending_store: None,
             chunk: Vec::new(),
             chunk_pos: 0,
             label: format!("gups[core {core}]"),
@@ -146,8 +88,8 @@ impl CompiledGupsStream {
     }
 
     /// The next pre-generated table address, refilling the chunk when it runs dry. Never
-    /// draws more RNG words than there are updates left, so the draw sequence matches the
-    /// interpreted stream exactly.
+    /// draws more RNG words than there are updates left, so the draw sequence is one word
+    /// per update whatever the chunking.
     #[inline]
     fn next_addr(&mut self) -> u64 {
         if self.chunk_pos == self.chunk.len() {
@@ -163,12 +105,13 @@ impl CompiledGupsStream {
         self.chunk_pos += 1;
         addr
     }
-}
 
-impl OpStream for CompiledGupsStream {
-    fn next_op(&mut self) -> Option<Op> {
+    /// The stream's one step: the pending store of the last update, else the next update's
+    /// load.
+    #[inline]
+    fn next_packed(&mut self) -> Option<PackedOp> {
         if let Some(addr) = self.pending_store.take() {
-            return Some(Op::store(addr));
+            return Some(PackedOp::store(addr));
         }
         if self.remaining == 0 {
             return None;
@@ -176,25 +119,17 @@ impl OpStream for CompiledGupsStream {
         let addr = self.next_addr();
         self.remaining -= 1;
         self.pending_store = Some(addr);
-        Some(Op::dependent_load(addr))
+        Some(PackedOp::dependent_load(addr))
+    }
+}
+
+impl OpStream for GupsStream {
+    fn next_op(&mut self) -> Option<Op> {
+        self.next_packed().map(PackedOp::unpack)
     }
 
     fn fill_block(&mut self, out: &mut OpBlock) -> usize {
-        out.clear();
-        while !out.is_full() {
-            if let Some(addr) = self.pending_store.take() {
-                out.push(PackedOp::store(addr));
-                continue;
-            }
-            if self.remaining == 0 {
-                break;
-            }
-            let addr = self.next_addr();
-            self.remaining -= 1;
-            out.push(PackedOp::dependent_load(addr));
-            self.pending_store = Some(addr);
-        }
-        out.len()
+        out.fill_with(|| self.next_packed())
     }
 
     fn label(&self) -> &str {
@@ -236,15 +171,6 @@ impl HpcgConfig {
             .map(|core| Box::new(HpcgStream::new(*self, core)) as Box<dyn OpStream>)
             .collect()
     }
-
-    /// Compiled per-core streams: op-for-op identical to [`HpcgConfig::streams`], but each
-    /// row is materialized straight into packed emission order (no back-to-front queue) and
-    /// block refills run a tight packed loop.
-    pub fn compiled_streams(&self) -> Vec<Box<dyn OpStream>> {
-        (0..self.cores)
-            .map(|core| Box::new(CompiledHpcgStream::new(*self, core)) as Box<dyn OpStream>)
-            .collect()
-    }
 }
 
 /// One core's HPCG-proxy stream: for each row, stream the matrix stripe (values + column
@@ -257,9 +183,12 @@ pub struct HpcgStream {
     /// Byte offset of this core's matrix stripe.
     matrix_offset: u64,
     vector_lines: u64,
+    /// The current row's ops in emission order, consumed via `pos`.
+    pending: Vec<PackedOp>,
+    pos: usize,
+    /// Scratch for the row's gather lines (drawn in RNG order, emitted in reverse).
+    gather_buf: Vec<u64>,
     label: String,
-    /// Remaining micro-ops for the current row, emitted back to front.
-    queue: Vec<Op>,
 }
 
 impl HpcgStream {
@@ -267,83 +196,6 @@ impl HpcgStream {
     pub fn new(config: HpcgConfig, core: u32) -> Self {
         let stripe_bytes = config.rows_per_core * config.nonzeros_per_row as u64 * 12; // 8B value + 4B index
         HpcgStream {
-            rng: StdRng::seed_from_u64(config.seed ^ core as u64),
-            row: 0,
-            matrix_offset: core as u64 * stripe_bytes.next_multiple_of(CACHE_LINE_BYTES),
-            vector_lines: (config.vector_bytes / CACHE_LINE_BYTES).max(1),
-            label: format!("hpcg[core {core}]"),
-            queue: Vec::new(),
-            config,
-        }
-    }
-
-    fn refill(&mut self) {
-        if self.row >= self.config.rows_per_core {
-            return;
-        }
-        let row = self.row;
-        self.row += 1;
-        // Matrix stripe of this row: values and indices stream sequentially.
-        let row_bytes = self.config.nonzeros_per_row as u64 * 12;
-        let row_base = HPCG_MATRIX_BASE + self.matrix_offset + row * row_bytes;
-        let matrix_lines = row_bytes.div_ceil(CACHE_LINE_BYTES).max(1);
-        // Emitted in reverse order because `next_op` pops from the back.
-        self.queue.push(Op::store(
-            HPCG_VECTOR_BASE + (row * 8) / CACHE_LINE_BYTES * CACHE_LINE_BYTES,
-        ));
-        self.queue
-            .push(Op::compute(2 * self.config.nonzeros_per_row));
-        // Gather loads from the vector (about one distinct cache line every four non-zeros —
-        // the stencil has strong reuse within a row).
-        let gathers = (self.config.nonzeros_per_row / 4).max(1);
-        for _ in 0..gathers {
-            let line = self.rng.gen_range(0..self.vector_lines);
-            self.queue.push(Op::load(
-                HPCG_VECTOR_BASE + 0x1000_0000 + line * CACHE_LINE_BYTES,
-            ));
-        }
-        for l in (0..matrix_lines).rev() {
-            self.queue.push(Op::load(row_base + l * CACHE_LINE_BYTES));
-        }
-    }
-}
-
-impl OpStream for HpcgStream {
-    fn next_op(&mut self) -> Option<Op> {
-        if self.queue.is_empty() {
-            self.refill();
-        }
-        self.queue.pop()
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-}
-
-/// The compiled form of [`HpcgStream`]: identical seed, RNG draw order and emission order,
-/// with each row materialized directly into packed front-to-back order.
-#[derive(Debug, Clone)]
-pub struct CompiledHpcgStream {
-    config: HpcgConfig,
-    rng: StdRng,
-    row: u64,
-    matrix_offset: u64,
-    vector_lines: u64,
-    /// The current row's ops in emission order, consumed via `pos`.
-    pending: Vec<PackedOp>,
-    pos: usize,
-    /// Scratch for the row's gather lines (drawn in RNG order, emitted reversed — matching
-    /// the interpreted stream's back-to-front queue).
-    gather_buf: Vec<u64>,
-    label: String,
-}
-
-impl CompiledHpcgStream {
-    /// Creates the compiled stream for `core` (seeded exactly like [`HpcgStream::new`]).
-    pub fn new(config: HpcgConfig, core: u32) -> Self {
-        let stripe_bytes = config.rows_per_core * config.nonzeros_per_row as u64 * 12;
-        CompiledHpcgStream {
             rng: StdRng::seed_from_u64(config.seed ^ core as u64),
             row: 0,
             matrix_offset: core as u64 * stripe_bytes.next_multiple_of(CACHE_LINE_BYTES),
@@ -365,6 +217,7 @@ impl CompiledHpcgStream {
         }
         let row = self.row;
         self.row += 1;
+        // Matrix stripe of this row: values and indices stream sequentially.
         let row_bytes = self.config.nonzeros_per_row as u64 * 12;
         let row_base = HPCG_MATRIX_BASE + self.matrix_offset + row * row_bytes;
         let matrix_lines = row_bytes.div_ceil(CACHE_LINE_BYTES).max(1);
@@ -372,6 +225,8 @@ impl CompiledHpcgStream {
             self.pending
                 .push(PackedOp::load(row_base + l * CACHE_LINE_BYTES));
         }
+        // Gather loads from the vector (about one distinct cache line every four non-zeros —
+        // the stencil has strong reuse within a row).
         let gathers = (self.config.nonzeros_per_row / 4).max(1);
         self.gather_buf.clear();
         for _ in 0..gathers {
@@ -389,31 +244,27 @@ impl CompiledHpcgStream {
             HPCG_VECTOR_BASE + (row * 8) / CACHE_LINE_BYTES * CACHE_LINE_BYTES,
         ));
     }
-}
 
-impl OpStream for CompiledHpcgStream {
-    fn next_op(&mut self) -> Option<Op> {
+    /// The stream's one step: the next op of the current row, materializing the next row
+    /// when the current one is used up.
+    #[inline]
+    fn next_packed(&mut self) -> Option<PackedOp> {
         if self.pos == self.pending.len() {
             self.refill();
         }
-        let op = self.pending.get(self.pos)?;
+        let op = *self.pending.get(self.pos)?;
         self.pos += 1;
-        Some(op.unpack())
+        Some(op)
+    }
+}
+
+impl OpStream for HpcgStream {
+    fn next_op(&mut self) -> Option<Op> {
+        self.next_packed().map(PackedOp::unpack)
     }
 
     fn fill_block(&mut self, out: &mut OpBlock) -> usize {
-        out.clear();
-        while !out.is_full() {
-            if self.pos == self.pending.len() {
-                self.refill();
-                if self.pending.is_empty() {
-                    break;
-                }
-            }
-            out.push(self.pending[self.pos]);
-            self.pos += 1;
-        }
-        out.len()
+        out.fill_with(|| self.next_packed())
     }
 
     fn label(&self) -> &str {

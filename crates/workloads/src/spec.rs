@@ -9,7 +9,9 @@
 //!
 //! Sizing is declarative: working sets are expressed as LLC multiples (`llc_multiple`), so the
 //! same spec adapts to any platform while still defeating its cache, and fidelity knobs
-//! (loads, iterations, rows) are explicit fields a scenario file can edit.
+//! (loads, iterations, rows) are explicit fields a scenario file can edit. Resolution goes
+//! through one path, the compile pass ([`crate::compile`]), which sizes the spec with
+//! checked arithmetic and lowers it to block-based op streams.
 //!
 //! ```
 //! use mess_workloads::spec::WorkloadSpec;
@@ -20,10 +22,8 @@
 //! assert_eq!(spec.label(), "multichase");
 //! ```
 
-use crate::latency::{LatMemRdConfig, MultichaseConfig};
-use crate::random::{GupsConfig, HpcgConfig};
 use crate::spec_suite;
-use crate::stream::{StreamConfig, StreamKernel};
+use crate::stream::StreamKernel;
 use mess_cpu::OpStream;
 use mess_types::MessError;
 use serde::{Deserialize, Serialize};
@@ -242,32 +242,24 @@ impl WorkloadSpec {
     }
 
     /// Resolves the spec into per-core op streams for a platform with `llc_bytes` of LLC and
-    /// `cores` cores. Single-core workloads (the latency benchmarks) are padded with idle
-    /// streams so an engine still models every core.
-    ///
-    /// By default this routes through the compile pass ([`crate::compile::compile`]) — the
-    /// streams are pre-resolved program forms whose refill path has no per-op virtual
-    /// dispatch or RNG, yielding an op-for-op identical sequence. Setting
-    /// `MESS_INTERPRETED=1` forces the legacy interpreted generators
-    /// ([`WorkloadSpec::interpreted_streams`]) instead.
+    /// `cores` cores: [`WorkloadSpec::compile`] without the materialization tally.
     ///
     /// # Errors
     ///
-    /// Propagates [`WorkloadSpec::validate`].
+    /// As [`WorkloadSpec::compile`].
     pub fn streams(&self, llc_bytes: u64, cores: u32) -> Result<Vec<Box<dyn OpStream>>, MessError> {
-        if crate::compile::interpreted_forced() {
-            self.interpreted_streams(llc_bytes, cores)
-        } else {
-            Ok(crate::compile::compile(self, llc_bytes, cores)?.into_streams())
-        }
+        Ok(self.compile(llc_bytes, cores)?.into_streams())
     }
 
-    /// Compiles the spec into a [`crate::compile::CompiledWorkload`] (the explicit form of
-    /// the default [`WorkloadSpec::streams`] path).
+    /// Compiles the spec into a [`crate::compile::CompiledWorkload`] for a platform with
+    /// `llc_bytes` of LLC and `cores` cores (see [`crate::compile::compile`], which holds
+    /// the sizing rules). Single-core workloads (the latency benchmarks) are padded with
+    /// idle streams so an engine still models every core.
     ///
     /// # Errors
     ///
-    /// Propagates [`WorkloadSpec::validate`].
+    /// Propagates [`WorkloadSpec::validate`], and returns [`MessError::InvalidConfig`] when
+    /// the sized working set overflows what the generators can address.
     pub fn compile(
         &self,
         llc_bytes: u64,
@@ -275,105 +267,12 @@ impl WorkloadSpec {
     ) -> Result<crate::compile::CompiledWorkload, MessError> {
         crate::compile::compile(self, llc_bytes, cores)
     }
-
-    /// Resolves the spec through the legacy interpreted generators (per-op state machines
-    /// pulled via `next_op`). Sizing rules are identical to the compiled path; the op
-    /// sequences are op-for-op identical. Kept as the reference implementation the
-    /// equivalence suite and the CI bit-identity job compare against.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`WorkloadSpec::validate`].
-    pub fn interpreted_streams(
-        &self,
-        llc_bytes: u64,
-        cores: u32,
-    ) -> Result<Vec<Box<dyn OpStream>>, MessError> {
-        self.validate()?;
-        Ok(match self {
-            WorkloadSpec::Stream {
-                kernel,
-                llc_multiple,
-                iterations,
-            } => StreamConfig {
-                kernel: *kernel,
-                array_bytes: (llc_bytes * llc_multiple).max(MIN_STREAM_BYTES),
-                iterations: *iterations,
-                cores,
-            }
-            .streams(),
-            WorkloadSpec::LatMemRd {
-                llc_multiple,
-                stride_bytes,
-                loads,
-            } => {
-                let config = LatMemRdConfig {
-                    array_bytes: llc_bytes * llc_multiple,
-                    stride_bytes: *stride_bytes,
-                    loads: *loads,
-                };
-                pad_single_core(config.stream(), cores)
-            }
-            WorkloadSpec::Multichase {
-                llc_multiple,
-                loads,
-                seed,
-            } => {
-                let config = MultichaseConfig {
-                    array_bytes: llc_bytes * llc_multiple,
-                    loads: *loads,
-                    seed: *seed,
-                };
-                pad_single_core(config.stream(), cores)
-            }
-            WorkloadSpec::Gups {
-                llc_multiple,
-                updates_per_core,
-                seed,
-            } => GupsConfig {
-                table_bytes: (llc_bytes * llc_multiple).next_power_of_two(),
-                updates_per_core: *updates_per_core,
-                cores: cores.max(1),
-                seed: *seed,
-            }
-            .streams(),
-            WorkloadSpec::Hpcg {
-                rows_per_core,
-                nonzeros_per_row,
-                vector_llc_multiple,
-                seed,
-            } => HpcgConfig {
-                rows_per_core: *rows_per_core,
-                nonzeros_per_row: *nonzeros_per_row,
-                vector_bytes: llc_bytes * vector_llc_multiple,
-                cores: cores.max(1),
-                seed: *seed,
-            }
-            .streams(),
-            WorkloadSpec::SpecCpu2006 {
-                benchmark,
-                ops_per_core,
-            } => spec_suite::find(benchmark)
-                .expect("validated above")
-                .multiprogrammed(cores, *ops_per_core),
-        })
-    }
-}
-
-/// Pads a single-core workload with idle streams so the engine still models every core.
-pub fn pad_single_core(active: Box<dyn OpStream>, cores: u32) -> Vec<Box<dyn OpStream>> {
-    let mut streams = vec![active];
-    for _ in 1..cores {
-        streams.push(
-            Box::new(mess_cpu::VecStream::with_label(Vec::new(), "idle")) as Box<dyn OpStream>,
-        );
-    }
-    streams
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::StreamConfig;
     use serde_json::{from_str, to_string};
 
     const LLC: u64 = 8 * 1024 * 1024;

@@ -106,13 +106,20 @@ impl StreamConfig {
     }
 
     /// Per-core op streams for this configuration (one stream per core, static partitioning
-    /// like OpenMP's `schedule(static)`).
+    /// like OpenMP's `schedule(static)`). Each core gets a flat [`OpProgram`]: the kernel's
+    /// per-line micro-sequence as a literal packed body, a 64-byte per-trip stride, one trip
+    /// per array line and one pass per iteration.
     pub fn streams(&self) -> Vec<Box<dyn OpStream>> {
         let lines = self.array_bytes / CACHE_LINE_BYTES;
         (0..self.cores)
             .map(|core| {
                 let (start, end) = partition_lines(lines, self.cores, core);
-                Box::new(StreamStream::new(*self, core, start, end)) as Box<dyn OpStream>
+                let body = line_ops(self.kernel, start).map(PackedOp::pack).collect();
+                let program = OpProgram::new(body, end.saturating_sub(start))
+                    .with_stride(CACHE_LINE_BYTES)
+                    .with_passes(self.iterations as u64)
+                    .stream(format!("stream-{}[core {}]", self.kernel, core));
+                Box::new(program) as Box<dyn OpStream>
             })
             .collect()
     }
@@ -123,28 +130,6 @@ impl StreamConfig {
         let elements = self.array_bytes / 8;
         elements * self.kernel.stream_bytes_per_element() * self.iterations as u64
     }
-
-    /// Compiled per-core streams: op-for-op identical to [`StreamConfig::streams`], but each
-    /// core gets a flat [`OpProgram`] — the kernel's per-line micro-sequence as a literal
-    /// packed body, a 64-byte per-trip stride, one trip per array line and one pass per
-    /// iteration — instead of the line/micro state machine.
-    pub fn compiled_streams(&self) -> Vec<Box<dyn OpStream>> {
-        let lines = self.array_bytes / CACHE_LINE_BYTES;
-        (0..self.cores)
-            .map(|core| {
-                let (start, end) = partition_lines(lines, self.cores, core);
-                let body: Vec<PackedOp> = (0..4u8)
-                    .filter_map(|micro| line_ops(self.kernel, start, micro))
-                    .map(PackedOp::pack)
-                    .collect();
-                let program = OpProgram::new(body, end.saturating_sub(start))
-                    .with_stride(CACHE_LINE_BYTES)
-                    .with_passes(self.iterations as u64)
-                    .stream(format!("stream-{}[core {}]", self.kernel, core));
-                Box::new(program) as Box<dyn OpStream>
-            })
-            .collect()
-    }
 }
 
 /// Base addresses of the three STREAM arrays, spaced far apart so they never alias in the LLC
@@ -153,100 +138,20 @@ const ARRAY_A_BASE: u64 = 0x1_0000_0000;
 const ARRAY_B_BASE: u64 = 0x2_0000_0000;
 const ARRAY_C_BASE: u64 = 0x3_0000_0000;
 
-/// The op stream of one core's share of a STREAM kernel.
-#[derive(Debug, Clone)]
-pub struct StreamStream {
-    config: StreamConfig,
-    label: String,
-    /// Current line index within `[start, end)`.
-    line: u64,
-    start: u64,
-    end: u64,
-    iteration: u32,
-    /// Position within the per-line micro-sequence of operations.
-    micro: u8,
-}
-
-impl StreamStream {
-    /// Creates the stream for `core`, covering array lines `[start_line, end_line)`.
-    pub fn new(config: StreamConfig, core: u32, start_line: u64, end_line: u64) -> Self {
-        StreamStream {
-            label: format!("stream-{}[core {}]", config.kernel, core),
-            line: start_line,
-            start: start_line,
-            end: end_line,
-            iteration: 0,
-            micro: 0,
-            config,
-        }
-    }
-
-    fn addr(base: u64, line: u64) -> u64 {
-        base + line * CACHE_LINE_BYTES
-    }
-
-    /// The micro-sequence of operations for one cache line of the kernel.
-    fn micro_op(&self, line: u64, micro: u8) -> Option<Op> {
-        line_ops(self.config.kernel, line, micro)
-    }
-}
-
-/// The `micro`-th operation of `kernel`'s micro-sequence for cache line `line` — the single
-/// source of truth shared by the interpreted state machine and the compiled program bodies.
-fn line_ops(kernel: StreamKernel, line: u64, micro: u8) -> Option<Op> {
-    let addr = StreamStream::addr;
-    let ops: [Option<Op>; 4] = match kernel {
-        StreamKernel::Copy => [
-            Some(Op::load(addr(ARRAY_A_BASE, line))),
-            Some(Op::store(addr(ARRAY_C_BASE, line))),
-            Some(Op::compute(kernel.compute_cycles())),
-            None,
-        ],
-        StreamKernel::Scale => [
-            Some(Op::load(addr(ARRAY_C_BASE, line))),
-            Some(Op::store(addr(ARRAY_B_BASE, line))),
-            Some(Op::compute(kernel.compute_cycles())),
-            None,
-        ],
-        StreamKernel::Add => [
-            Some(Op::load(addr(ARRAY_A_BASE, line))),
-            Some(Op::load(addr(ARRAY_B_BASE, line))),
-            Some(Op::store(addr(ARRAY_C_BASE, line))),
-            Some(Op::compute(kernel.compute_cycles())),
-        ],
-        StreamKernel::Triad => [
-            Some(Op::load(addr(ARRAY_B_BASE, line))),
-            Some(Op::load(addr(ARRAY_C_BASE, line))),
-            Some(Op::store(addr(ARRAY_A_BASE, line))),
-            Some(Op::compute(kernel.compute_cycles())),
-        ],
+/// The operations of `kernel`'s micro-sequence for cache line `line`: one load per source
+/// array, one store to the destination array, then the kernel's compute block.
+fn line_ops(kernel: StreamKernel, line: u64) -> impl Iterator<Item = Op> {
+    let at = move |base: u64| base + line * CACHE_LINE_BYTES;
+    let (sources, destination): (&[u64], u64) = match kernel {
+        StreamKernel::Copy => (&[ARRAY_A_BASE], ARRAY_C_BASE),
+        StreamKernel::Scale => (&[ARRAY_C_BASE], ARRAY_B_BASE),
+        StreamKernel::Add => (&[ARRAY_A_BASE, ARRAY_B_BASE], ARRAY_C_BASE),
+        StreamKernel::Triad => (&[ARRAY_B_BASE, ARRAY_C_BASE], ARRAY_A_BASE),
     };
-    ops.get(micro as usize).copied().flatten()
-}
-
-impl OpStream for StreamStream {
-    fn next_op(&mut self) -> Option<Op> {
-        loop {
-            if self.iteration >= self.config.iterations || self.start >= self.end {
-                return None;
-            }
-            if let Some(op) = self.micro_op(self.line, self.micro) {
-                self.micro += 1;
-                return Some(op);
-            }
-            // Line finished: advance to the next line / iteration.
-            self.micro = 0;
-            self.line += 1;
-            if self.line >= self.end {
-                self.line = self.start;
-                self.iteration += 1;
-            }
-        }
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
+    sources.iter().map(move |&base| Op::load(at(base))).chain([
+        Op::store(at(destination)),
+        Op::compute(kernel.compute_cycles()),
+    ])
 }
 
 #[cfg(test)]
