@@ -5,17 +5,20 @@
 //! with `--full` for the full-fidelity tables recorded in EXPERIMENTS.md).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mess_harness::{run_experiment, Fidelity, EXPERIMENTS};
+use mess_scenario::{run_scenario_with, Fidelity, ScenarioOptions, BUILTINS};
 
 /// A representative, cheap subset is timed by default; pass a figure id on the command line
-/// (`cargo bench -p mess-benches -- fig11`) to time any of the drivers in [`EXPERIMENTS`].
+/// (`cargo bench -p mess-benches -- fig11`) to time any of the [`BUILTINS`].
 const TIMED_BY_DEFAULT: [&str; 3] = ["fig2", "fig6", "fig15"];
 
 fn figures(c: &mut Criterion) {
-    assert!(TIMED_BY_DEFAULT.iter().all(|id| EXPERIMENTS.contains(id)));
+    assert!(TIMED_BY_DEFAULT
+        .iter()
+        .all(|id| BUILTINS.iter().any(|b| b.id == *id)));
     let mut group = c.benchmark_group("figures");
     group.sample_size(10);
-    for id in EXPERIMENTS {
+    for builtin in &BUILTINS {
+        let id = builtin.id;
         if !TIMED_BY_DEFAULT.contains(&id) {
             // Still registered so `-- figN` can select it, but skipped in the default sweep
             // by giving Criterion nothing to measure unless explicitly filtered.
@@ -23,8 +26,10 @@ fn figures(c: &mut Criterion) {
         }
         group.bench_function(id, |b| {
             b.iter(|| {
-                let report = run_experiment(id, Fidelity::Quick).expect("known experiment id");
-                assert!(!report.rows.is_empty());
+                let spec = builtin.spec(Fidelity::Quick);
+                let outcome = run_scenario_with(&spec, &ScenarioOptions::default())
+                    .expect("builtin specs run");
+                assert!(!outcome.report.rows.is_empty());
             });
         });
     }

@@ -10,9 +10,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mess_bench::sweep::{characterize_with, SweepConfig};
 use mess_exec::ExecConfig;
-use mess_harness::runner::scaled_platform;
-use mess_harness::Fidelity;
 use mess_platforms::PlatformId;
+use mess_scenario::engine::scaled_platform;
+use mess_scenario::Fidelity;
 use std::time::Instant;
 
 /// Enough points (2 mixes × 8 pauses) that a 4-worker pool stays busy and load-imbalance

@@ -45,9 +45,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mess_bench::{PointerChaseConfig, TrafficConfig};
 use mess_cpu::{Engine, OpStream, StopCondition};
-use mess_harness::runner::scaled_platform;
-use mess_harness::Fidelity;
 use mess_platforms::{build_memory_model, MemoryModelKind, PlatformId};
+use mess_scenario::engine::scaled_platform;
+use mess_scenario::Fidelity;
 use mess_workloads::{StreamKernel, WorkloadSpec};
 use std::fmt::Write as _;
 use std::time::Instant;

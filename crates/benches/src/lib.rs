@@ -11,7 +11,7 @@
 //!   trajectory accumulates across PRs. `-- --quick` shrinks it to a CI smoke test;
 //!   CI builds it with the `release-bench` profile (`lto = "thin"`, one codegen unit).
 //! * `figures` — one timed entry point per paper figure/table, each running the
-//!   corresponding `mess-harness` experiment driver;
+//!   figure's builtin scenario spec through the scenario engine;
 //! * `parallel_sweep` — the `mess-exec` parallel characterization sweep at 1 vs 4 workers
 //!   (acceptance bar: ≥2× at 4 workers on a ≥4-thread host).
 //!
@@ -25,9 +25,9 @@
 #[cfg(test)]
 mod tests {
     use mess_cpu::{Engine, OpStream, StopCondition, VecStream};
-    use mess_harness::runner::scaled_platform;
-    use mess_harness::Fidelity;
     use mess_platforms::{build_memory_model, MemoryModelKind, PlatformId};
+    use mess_scenario::engine::scaled_platform;
+    use mess_scenario::Fidelity;
     use mess_types::{Completion, Cycle, IssueOutcome, MemoryBackend, MemoryStats, Request};
 
     /// Counts how often the engine interacts with the backend: the host-independent

@@ -15,11 +15,16 @@
 //! mess-harness --list-curves curves/          # index the artifacts in a directory
 //! ```
 //!
+//! There is one run path. A builtin id is just a spec: `-e <id>` runs
+//! `mess_scenario::builtin_spec(id, fidelity)` exactly as `--scenario` runs a file, and
+//! `-e all` runs a campaign of the thirteen builtin specs exactly as `--campaign` runs a
+//! file. Every run goes through `run_scenario_observed` / `run_campaign_observed`.
+//!
 //! `--threads N` sets the process-wide `mess-exec` worker count — a true cap, because
-//! nested pools run inline. For a single experiment the N workers go to the driver's
-//! per-sweep-point / per-leg parallelism; for `--experiment all` and `--campaign` they go
-//! to running up to N experiments concurrently (each internally sequential). The default is
-//! one worker per available hardware thread; the output is byte-identical at every setting.
+//! nested pools run inline. For a single scenario the N workers go to its per-sweep-point /
+//! per-leg parallelism; for `--experiment all` and `--campaign` they go to running up to N
+//! scenarios concurrently (each internally sequential). The default is one worker per
+//! available hardware thread; the output is byte-identical at every setting.
 //!
 //! Scenario and campaign files carry their own sizing (a `--dump-spec` export bakes the
 //! chosen fidelity in), so `--quick`/`--full` only affect builtin experiment ids.
@@ -27,8 +32,7 @@
 //! `--curves-out DIR` writes every curve family the run characterizes as a versioned,
 //! provenance-carrying `CurveSet` JSON artifact; `--curves FILE` loads such an artifact
 //! and overrides every curve source in the run with it (the way to re-simulate or
-//! re-profile from a saved characterization without editing the spec). Both flags also
-//! work with builtin experiment ids, which then run through their scenario specs.
+//! re-profile from a saved characterization without editing the spec).
 //!
 //! Observability (see the "Observability" section of this crate's README):
 //! `--progress` narrates every scenario/leg event on stderr, `--trace-out FILE` writes
@@ -36,27 +40,42 @@
 //! registry (Prometheus text) to stdout after the reports. All three are reporting-only:
 //! reports, artifacts and digests stay byte-identical with them on or off.
 
-use mess_exec::JobEvent;
-use mess_harness::{
-    run_experiment, run_experiments, write_curve_sets, write_reports, CurveSet, Fidelity, BUILTINS,
-    EXPERIMENTS,
+use mess_scenario::{
+    builtin_spec, run_campaign_observed, run_scenario_observed, write_curve_sets, write_reports,
+    CampaignSpec, CurveSet, ExperimentReport, Fidelity, ProgressEvent, ProgressSink,
+    ScenarioOptions, ScenarioSpec, TraceProgress, BUILTINS,
 };
-use mess_scenario::{CampaignSpec, ProgressSink, ScenarioOptions, ScenarioSpec, TraceProgress};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The CLI's composite progress sink: optional stderr narration (the event's canonical
-/// one-line `Display`) plus the span recorder feeding `--trace-out`. Both halves are
-/// read-only observers — wrapping a run with this sink cannot change its outputs.
+/// The CLI's progress sink: per-scenario `started`/`finished` lines on stderr (or, with
+/// `--progress`, every event's canonical one-line `Display`), plus the span recorder
+/// feeding `--trace-out`, which is inert while tracing is off. Both halves are read-only
+/// observers — wrapping a run with this sink cannot change its outputs.
 struct CliSink {
     narrate: bool,
+    /// Scenarios in the run, for the `finished (k/total)` count.
+    total: usize,
+    finished: AtomicUsize,
     trace: TraceProgress,
 }
 
 impl ProgressSink for CliSink {
-    fn emit(&self, event: mess_scenario::ProgressEvent) {
+    fn emit(&self, event: ProgressEvent) {
         if self.narrate {
             eprintln!("[mess-harness] {event}");
+        } else {
+            match &event {
+                ProgressEvent::ScenarioStarted { scenario } => {
+                    eprintln!("[mess-harness] {scenario} started");
+                }
+                ProgressEvent::ScenarioFinished { scenario, .. } => {
+                    let done = self.finished.fetch_add(1, Ordering::Relaxed) + 1;
+                    eprintln!("[mess-harness] {scenario} finished ({done}/{})", self.total);
+                }
+                ProgressEvent::LegStarted { .. } | ProgressEvent::LegFinished { .. } => {}
+            }
         }
         self.trace.emit(event);
     }
@@ -76,6 +95,22 @@ enum Mode {
     List,
     /// Print an index of the CurveSet artifacts in a directory.
     ListCurves(PathBuf),
+}
+
+/// What a running mode resolves to: builtin ids and files alike become specs.
+enum Plan {
+    Scenario(Box<ScenarioSpec>),
+    Campaign(CampaignSpec),
+}
+
+/// The per-run flags shared by every running mode.
+struct RunFlags {
+    fidelity: Fidelity,
+    csv: bool,
+    out: Option<PathBuf>,
+    curves_out: Option<PathBuf>,
+    narrate: bool,
+    options: ScenarioOptions,
 }
 
 fn usage() {
@@ -137,6 +172,149 @@ fn list_curves(dir: &Path) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+/// Reads and parses a JSON spec file, folding both failure kinds into one message.
+fn load<T, E: std::fmt::Display>(
+    path: &Path,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    parse(&text).map_err(|e| e.to_string())
+}
+
+/// Resolves `mode` to a plan, runs it through the scenario engine, prints the reports and
+/// writes the requested files.
+fn run(mode: Mode, flags: &RunFlags) -> ExitCode {
+    let plan = match mode {
+        Mode::List => {
+            for b in &BUILTINS {
+                println!("{:<8} {} [{}]", b.id, b.description, b.anchor);
+            }
+            return ExitCode::SUCCESS;
+        }
+        Mode::ListCurves(dir) => return list_curves(&dir),
+        Mode::DumpSpec(id) => {
+            return match builtin_spec(&id, flags.fidelity) {
+                Some(spec) => {
+                    println!("{}", spec.to_json());
+                    ExitCode::SUCCESS
+                }
+                None => {
+                    eprintln!("unknown experiment: {id}");
+                    ExitCode::FAILURE
+                }
+            };
+        }
+        Mode::Experiment(id) if id == "all" => Plan::Campaign(CampaignSpec {
+            name: "all".into(),
+            scenarios: BUILTINS.iter().map(|b| b.spec(flags.fidelity)).collect(),
+        }),
+        Mode::Experiment(id) => match builtin_spec(&id, flags.fidelity) {
+            Some(spec) => Plan::Scenario(Box::new(spec)),
+            None => {
+                eprintln!("unknown experiment: {id}");
+                return ExitCode::FAILURE;
+            }
+        },
+        Mode::Scenario(path) => match load(&path, ScenarioSpec::from_json) {
+            Ok(spec) => Plan::Scenario(Box::new(spec)),
+            Err(e) => {
+                eprintln!("cannot load scenario {}: {e}", path.display());
+                return ExitCode::FAILURE;
+            }
+        },
+        Mode::Campaign(path) => match load(&path, CampaignSpec::from_json) {
+            Ok(campaign) => Plan::Campaign(campaign),
+            Err(e) => {
+                eprintln!("cannot load campaign {}: {e}", path.display());
+                return ExitCode::FAILURE;
+            }
+        },
+    };
+
+    let (what, name, total) = match &plan {
+        Plan::Scenario(spec) => ("scenario", &spec.id, 1),
+        Plan::Campaign(campaign) => ("campaign", &campaign.name, campaign.scenarios.len()),
+    };
+    let sink = CliSink {
+        narrate: flags.narrate,
+        total,
+        finished: AtomicUsize::new(0),
+        trace: TraceProgress::new(),
+    };
+    let outcomes = match &plan {
+        Plan::Scenario(spec) => run_scenario_observed(spec, &flags.options, &sink).map(|o| vec![o]),
+        Plan::Campaign(campaign) => run_campaign_observed(campaign, &flags.options, &sink),
+    };
+    let outcomes = match outcomes {
+        Ok(outcomes) => outcomes,
+        Err(e) => {
+            eprintln!("{what} {name} failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let reports: Vec<ExperimentReport> = outcomes.iter().map(|o| o.report.clone()).collect();
+    for report in &reports {
+        if flags.csv {
+            print!("{}", report.to_csv());
+        } else {
+            println!("{report}");
+        }
+    }
+    let sets: Vec<CurveSet> = outcomes.into_iter().flat_map(|o| o.curve_sets).collect();
+    if write_out(flags, name, &reports) && write_curves(flags, &sets) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// Writes the reports under `--out` (if set); `false` on a filesystem error.
+fn write_out(flags: &RunFlags, name: &str, reports: &[ExperimentReport]) -> bool {
+    let Some(dir) = &flags.out else { return true };
+    match write_reports(dir, name, reports) {
+        Ok(written) => {
+            eprintln!(
+                "[mess-harness] wrote {} files to {}",
+                written.len(),
+                dir.display()
+            );
+            true
+        }
+        Err(e) => {
+            eprintln!("cannot write to {}: {e}", dir.display());
+            false
+        }
+    }
+}
+
+/// Writes the curve artifacts under `--curves-out` (if set); `false` on a filesystem error.
+fn write_curves(flags: &RunFlags, sets: &[CurveSet]) -> bool {
+    let Some(dir) = &flags.curves_out else {
+        return true;
+    };
+    if sets.is_empty() {
+        eprintln!(
+            "[mess-harness] the run measured no curve families (nothing to write to {})",
+            dir.display()
+        );
+        return true;
+    }
+    match write_curve_sets(dir, sets) {
+        Ok(written) => {
+            eprintln!(
+                "[mess-harness] wrote {} curve artifact(s) to {}",
+                written.len(),
+                dir.display()
+            );
+            true
+        }
+        Err(e) => {
+            eprintln!("cannot write curves to {}: {e}", dir.display());
+            false
+        }
+    }
 }
 
 fn main() -> ExitCode {
@@ -289,254 +467,15 @@ fn main() -> ExitCode {
         },
         None => ScenarioOptions::default(),
     };
-    // Builtin ids normally dispatch through their thin drivers; the curve flags need the
-    // spec pipeline's outcome (artifacts) and the observability flags need its
-    // `ProgressSink` seam, so any of them reroutes builtins through their specs.
-    let observed = narrate || metrics || trace_out.is_some();
-    let wants_curve_flow = curves_out.is_some() || curves_file.is_some() || observed;
-    let sink = CliSink {
+    let flags = RunFlags {
+        fidelity,
+        csv,
+        out,
+        curves_out,
         narrate,
-        trace: TraceProgress::new(),
+        options,
     };
-    let run_scenario_any = |spec: &ScenarioSpec| {
-        if observed {
-            mess_scenario::run_scenario_observed(spec, &options, &sink)
-        } else {
-            mess_scenario::run_scenario_with(spec, &options)
-        }
-    };
-
-    let print = |report: &mess_harness::ExperimentReport| {
-        if csv {
-            print!("{}", report.to_csv());
-        } else {
-            println!("{report}");
-        }
-    };
-    let progress = |event: JobEvent<'_>| match event {
-        JobEvent::Started { name, .. } => eprintln!("[mess-harness] {name} started"),
-        JobEvent::Finished {
-            name,
-            completed,
-            total,
-            ..
-        } => eprintln!("[mess-harness] {name} finished ({completed}/{total})"),
-    };
-    // Campaigns narrate coarse per-scenario job lines by default; with observability on
-    // they go through the `ProgressSink` seam instead, which narrates finer (per leg)
-    // and feeds the span recorder.
-    let run_campaign_any = |campaign: &CampaignSpec| {
-        if observed {
-            mess_scenario::run_campaign_observed(campaign, &options, &sink)
-        } else {
-            mess_scenario::run_campaign_with(campaign, &options, progress)
-        }
-    };
-    let write_out = |name: &str, reports: &[mess_harness::ExperimentReport]| -> bool {
-        let Some(dir) = &out else { return true };
-        match write_reports(dir, name, reports) {
-            Ok(written) => {
-                eprintln!(
-                    "[mess-harness] wrote {} files to {}",
-                    written.len(),
-                    dir.display()
-                );
-                true
-            }
-            Err(e) => {
-                eprintln!("cannot write to {}: {e}", dir.display());
-                false
-            }
-        }
-    };
-    let write_curves = |sets: &[CurveSet]| -> bool {
-        let Some(dir) = &curves_out else { return true };
-        if sets.is_empty() {
-            eprintln!(
-                "[mess-harness] the run measured no curve families (nothing to write to {})",
-                dir.display()
-            );
-            return true;
-        }
-        match write_curve_sets(dir, sets) {
-            Ok(written) => {
-                eprintln!(
-                    "[mess-harness] wrote {} curve artifact(s) to {}",
-                    written.len(),
-                    dir.display()
-                );
-                true
-            }
-            Err(e) => {
-                eprintln!("cannot write curves to {}: {e}", dir.display());
-                false
-            }
-        }
-    };
-
-    let code = match mode {
-        Mode::List => {
-            for b in &BUILTINS {
-                println!("{:<8} {} [{}]", b.id, b.description, b.anchor);
-            }
-            ExitCode::SUCCESS
-        }
-        Mode::ListCurves(dir) => list_curves(&dir),
-        Mode::DumpSpec(id) => match mess_harness::experiment_info(&id) {
-            Some(info) => {
-                println!("{}", info.spec(fidelity).to_json());
-                ExitCode::SUCCESS
-            }
-            None => {
-                eprintln!("unknown experiment: {id}");
-                ExitCode::FAILURE
-            }
-        },
-        Mode::Experiment(id) if id == "all" && !wants_curve_flow => {
-            // The whole campaign goes through the job-graph runner: experiments execute
-            // concurrently, progress is narrated on stderr, reports print in paper order.
-            let reports = run_experiments(&EXPERIMENTS, fidelity, progress)
-                .expect("EXPERIMENTS contains only known ids");
-            for report in &reports {
-                print(report);
-            }
-            if write_out("all", &reports) {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Mode::Experiment(id) if id == "all" => {
-            // Curve flags need the spec pipeline: run every builtin as a campaign of its
-            // scenario spec (same job runner, same report order).
-            let campaign = CampaignSpec {
-                name: "all".into(),
-                scenarios: EXPERIMENTS
-                    .iter()
-                    .map(|id| {
-                        mess_scenario::builtin_spec(id, fidelity).expect("builtin ids resolve")
-                    })
-                    .collect(),
-            };
-            match run_campaign_any(&campaign) {
-                Ok(outcomes) => {
-                    let reports: Vec<_> = outcomes.iter().map(|o| o.report.clone()).collect();
-                    for report in &reports {
-                        print(report);
-                    }
-                    let sets: Vec<CurveSet> =
-                        outcomes.into_iter().flat_map(|o| o.curve_sets).collect();
-                    if write_out("all", &reports) && write_curves(&sets) {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(e) => {
-                    eprintln!("experiment all failed: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Mode::Experiment(id) if !wants_curve_flow => match run_experiment(&id, fidelity) {
-            Some(report) => {
-                print(&report);
-                if write_out(&report.id, std::slice::from_ref(&report)) {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            None => {
-                eprintln!("unknown experiment: {id}");
-                ExitCode::FAILURE
-            }
-        },
-        Mode::Experiment(id) => match mess_harness::experiment_info(&id) {
-            Some(info) => {
-                let spec = info.spec(fidelity);
-                match run_scenario_any(&spec) {
-                    Ok(outcome) => {
-                        print(&outcome.report);
-                        if write_out(&outcome.report.id, std::slice::from_ref(&outcome.report))
-                            && write_curves(&outcome.curve_sets)
-                        {
-                            ExitCode::SUCCESS
-                        } else {
-                            ExitCode::FAILURE
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("experiment {id} failed: {e}");
-                        ExitCode::FAILURE
-                    }
-                }
-            }
-            None => {
-                eprintln!("unknown experiment: {id}");
-                ExitCode::FAILURE
-            }
-        },
-        Mode::Scenario(path) => {
-            let spec = match std::fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| ScenarioSpec::from_json(&text).map_err(|e| e.to_string()))
-            {
-                Ok(spec) => spec,
-                Err(e) => {
-                    eprintln!("cannot load scenario {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match run_scenario_any(&spec) {
-                Ok(outcome) => {
-                    print(&outcome.report);
-                    if write_out(&spec.id, std::slice::from_ref(&outcome.report))
-                        && write_curves(&outcome.curve_sets)
-                    {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(e) => {
-                    eprintln!("scenario {} failed: {e}", spec.id);
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Mode::Campaign(path) => {
-            let campaign = match std::fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| CampaignSpec::from_json(&text).map_err(|e| e.to_string()))
-            {
-                Ok(campaign) => campaign,
-                Err(e) => {
-                    eprintln!("cannot load campaign {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match run_campaign_any(&campaign) {
-                Ok(outcomes) => {
-                    let reports: Vec<_> = outcomes.iter().map(|o| o.report.clone()).collect();
-                    for report in &reports {
-                        print(report);
-                    }
-                    let sets: Vec<CurveSet> =
-                        outcomes.into_iter().flat_map(|o| o.curve_sets).collect();
-                    if write_out(&campaign.name, &reports) && write_curves(&sets) {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(e) => {
-                    eprintln!("campaign {} failed: {e}", campaign.name);
-                    ExitCode::FAILURE
-                }
-            }
-        }
-    };
+    let code = run(mode, &flags);
 
     // Close the root span before collecting, so its duration covers everything above.
     drop(root_span);

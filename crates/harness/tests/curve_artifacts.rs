@@ -9,11 +9,11 @@
 //! * the checked-in example artifact and the characterize/mess-sim/profile scenario files
 //!   parse, validate, and (for the profile scenario) run end to end.
 
-use mess_harness::write_curve_sets;
 use mess_platforms::{MemoryModelKind, PlatformId};
 use mess_scenario::{
-    CurveSet, CurveSetProvenance, CurveSourceSpec, ModelSpec, PlatformRef, ScenarioKind,
-    ScenarioOptions, ScenarioSpec, SweepPreset, SweepSpec,
+    run_scenario_with, write_curve_sets, CurveSet, CurveSetProvenance, CurveSourceSpec,
+    ExperimentReport, ModelSpec, PlatformRef, ScenarioKind, ScenarioOptions, ScenarioSpec,
+    SweepPreset, SweepSpec,
 };
 use std::path::PathBuf;
 
@@ -27,6 +27,13 @@ fn temp_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Runs `spec` with default options and returns its report.
+fn report_of(spec: &ScenarioSpec) -> ExperimentReport {
+    run_scenario_with(spec, &ScenarioOptions::default())
+        .unwrap()
+        .report
 }
 
 /// A mess-sim scenario whose input curves come from `curves`.
@@ -54,7 +61,7 @@ fn closed_loop_in_process_and_file_loaded_curves_are_bit_identical() {
         model: Box::new(ModelSpec::of(MemoryModelKind::Md1Queue)),
         sweep: SweepSpec::preset(SweepPreset::Reduced),
     };
-    let in_process = mess_scenario::run_scenario(&mess_sim_spec(characterized.clone())).unwrap();
+    let in_process = report_of(&mess_sim_spec(characterized.clone()));
 
     // Persist the same characterization as a CurveSet artifact...
     let platform = PlatformRef::quick(PlatformId::IntelSkylake).resolve();
@@ -74,7 +81,7 @@ fn closed_loop_in_process_and_file_loaded_curves_are_bit_identical() {
     let file_source = CurveSourceSpec::File {
         path: path.to_string_lossy().into_owned(),
     };
-    let from_file = mess_scenario::run_scenario(&mess_sim_spec(file_source)).unwrap();
+    let from_file = report_of(&mess_sim_spec(file_source));
     assert_eq!(from_file, in_process, "file-loaded curves diverged");
     assert_eq!(from_file.to_csv(), in_process.to_csv());
 
@@ -83,11 +90,8 @@ fn closed_loop_in_process_and_file_loaded_curves_are_bit_identical() {
         curves: Some(CurveSet::load(&path).unwrap()),
         ..Default::default()
     };
-    let overridden = mess_scenario::run_scenario_with(
-        &mess_sim_spec(CurveSourceSpec::PlatformReference),
-        &options,
-    )
-    .unwrap();
+    let overridden =
+        run_scenario_with(&mess_sim_spec(CurveSourceSpec::PlatformReference), &options).unwrap();
     assert_eq!(overridden.report, in_process, "--curves override diverged");
 
     // And the artifact itself is a serialization fixed point.
@@ -104,7 +108,7 @@ fn characterization_scenario_persists_artifacts_that_feed_the_simulator() {
     let text = std::fs::read_to_string(scenarios_dir().join("characterize-skylake.json")).unwrap();
     let spec = ScenarioSpec::from_json(&text).expect("characterize scenario parses");
     spec.validate().expect("characterize scenario validates");
-    let outcome = mess_scenario::run_scenario_with(&spec, &ScenarioOptions::default()).unwrap();
+    let outcome = run_scenario_with(&spec, &ScenarioOptions::default()).unwrap();
     assert_eq!(outcome.curve_sets.len(), 1, "one family characterized");
 
     let dir = temp_dir("smoke");
@@ -122,7 +126,7 @@ fn characterization_scenario_persists_artifacts_that_feed_the_simulator() {
         curves: Some(CurveSet::load(&written[0]).unwrap()),
         ..Default::default()
     };
-    let outcome = mess_scenario::run_scenario_with(&sim, &options).unwrap();
+    let outcome = run_scenario_with(&sim, &options).unwrap();
     assert!(!outcome.report.rows.is_empty());
     // The simulator was fed the measured DRAM curves, so its input unloaded latency in
     // the report matches the artifact's family, not the synthetic reference.
@@ -179,7 +183,7 @@ fn checked_in_profile_scenario_runs_on_the_checked_in_artifact() {
     } else {
         panic!("profile-gups-curves.json must be a Profile kind with a File curve source");
     }
-    let report = mess_scenario::run_scenario(&spec).unwrap();
+    let report = report_of(&spec);
     assert!(!report.rows.is_empty(), "the timeline has samples");
     assert!(
         report.notes.iter().any(|n| n.contains("mean stress")),

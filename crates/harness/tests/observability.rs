@@ -6,8 +6,7 @@
 //! collector are raced by nobody) runs a builtin suite three ways — disabled @ 1 worker,
 //! enabled+tracing @ 1 worker, enabled+tracing @ 8 workers — and compares everything.
 
-use mess_harness::{Fidelity, EXPERIMENTS};
-use mess_scenario::{ScenarioOptions, TraceProgress};
+use mess_scenario::{Fidelity, ScenarioOptions, TraceProgress, BUILTINS};
 
 /// Everything a run produces that downstream consumers may hash, cache, or diff.
 #[derive(Debug, PartialEq)]
@@ -47,7 +46,7 @@ fn run_suite(ids: &[&str], threads: usize, observed: bool) -> SuiteOutput {
 fn observability_never_changes_outputs_at_any_worker_count() {
     // Every builtin experiment: simulation, characterization, profiling, and artifact
     // production all pass under the comparison.
-    let ids: Vec<&str> = EXPERIMENTS.to_vec();
+    let ids: Vec<&str> = BUILTINS.iter().map(|b| b.id).collect();
 
     // Baseline: observability fully disabled, sequential.
     mess_obs::set_enabled(false);

@@ -1,14 +1,16 @@
 //! Regression tests for the declarative scenario pipeline.
 //!
-//! * every pre-existing experiment id runs through the spec pipeline and produces
-//!   bit-identical reports at 1 and 8 workers (the output must not depend on scheduling);
+//! * every builtin experiment runs through the spec pipeline and produces bit-identical
+//!   reports at 1 and 8 workers (the output must not depend on scheduling);
 //! * a builtin's `--dump-spec` JSON re-runs to the identical report (export → edit → re-run
 //!   is lossless);
 //! * the checked-in example campaign — a workload/platform/model pairing no builtin driver
 //!   covers — runs end to end from its JSON file and emits CSV rows.
 
-use mess_harness::{run_experiment, Fidelity, EXPERIMENTS};
-use mess_scenario::{CampaignSpec, ScenarioSpec};
+use mess_scenario::{
+    run_campaign_observed, run_scenario_with, CampaignSpec, ExperimentReport, Fidelity, NoProgress,
+    ScenarioOptions, ScenarioSpec, BUILTINS,
+};
 use std::path::PathBuf;
 
 fn scenarios_dir() -> PathBuf {
@@ -18,23 +20,29 @@ fn scenarios_dir() -> PathBuf {
 #[test]
 fn every_experiment_is_bit_identical_at_1_and_8_workers() {
     // The whole quick campaign, twice: once fully sequential, once on an 8-worker pool.
-    // Every report — rows, notes, CSV — must match bit for bit; the spec pipeline keeps the
-    // order-preserving `par_map` structure of the old drivers, so scheduling must never
-    // leak into the output.
-    let run_all = |threads: usize| -> Vec<mess_harness::ExperimentReport> {
+    // Every report — rows, notes, CSV — must match bit for bit; every parallel leg of the
+    // engine is an order-preserving `par_map`, so scheduling must never leak into the
+    // output.
+    let run_all = |threads: usize| -> Vec<ExperimentReport> {
         mess_exec::set_default_threads(threads);
-        let reports = EXPERIMENTS
+        let reports = BUILTINS
             .iter()
-            .map(|id| run_experiment(id, Fidelity::Quick).expect("known id"))
+            .map(|b| {
+                run_scenario_with(&b.spec(Fidelity::Quick), &ScenarioOptions::default())
+                    .unwrap_or_else(|e| panic!("{} failed: {e}", b.id))
+                    .report
+            })
             .collect();
         mess_exec::set_default_threads(0);
         reports
     };
     let sequential = run_all(1);
     let parallel = run_all(8);
-    for (seq, par) in sequential.iter().zip(&parallel) {
+    assert_eq!(sequential.len(), BUILTINS.len());
+    for ((b, seq), par) in BUILTINS.iter().zip(&sequential).zip(&parallel) {
         assert_eq!(seq, par, "{} differs between 1 and 8 workers", seq.id);
         assert_eq!(seq.to_csv(), par.to_csv(), "{} CSV differs", seq.id);
+        assert_eq!(seq.id, b.id);
         assert!(!seq.rows.is_empty(), "{} produced no rows", seq.id);
     }
 }
@@ -46,23 +54,32 @@ fn dumped_builtin_spec_reruns_to_the_identical_report() {
     let spec = mess_scenario::builtin_spec("fig7", Fidelity::Quick).expect("fig7 is builtin");
     let reparsed = ScenarioSpec::from_json(&spec.to_json()).expect("dumped JSON parses");
     assert_eq!(reparsed, spec);
-    let from_file = mess_scenario::run_scenario(&reparsed).expect("spec runs");
-    let from_driver = run_experiment("fig7", Fidelity::Quick).expect("known id");
-    assert_eq!(from_file, from_driver);
-    assert_eq!(from_file.to_csv(), from_driver.to_csv());
+    let run = |spec: &ScenarioSpec| {
+        run_scenario_with(spec, &ScenarioOptions::default())
+            .expect("spec runs")
+            .report
+    };
+    let (from_file, from_builtin) = (run(&reparsed), run(&spec));
+    assert_eq!(from_file, from_builtin);
+    assert_eq!(from_file.to_csv(), from_builtin.to_csv());
 }
 
 #[test]
 fn checked_in_example_campaign_runs_end_to_end() {
     // The acceptance scenario: a campaign JSON pairing GUPS with the CXL-expander and
-    // M/D/1 models — a combination no builtin driver covers — loads, validates, runs
+    // M/D/1 models — a combination no builtin experiment covers — loads, validates, runs
     // through the job runner, and emits CSV rows.
     let path = scenarios_dir().join("custom-campaign.json");
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
     let campaign = CampaignSpec::from_json(&text).expect("checked-in campaign parses");
     campaign.validate().expect("checked-in campaign validates");
-    let reports = mess_scenario::run_campaign(&campaign, |_| {}).expect("campaign runs");
+    let reports: Vec<ExperimentReport> =
+        run_campaign_observed(&campaign, &ScenarioOptions::default(), &NoProgress)
+            .expect("campaign runs")
+            .into_iter()
+            .map(|outcome| outcome.report)
+            .collect();
     assert_eq!(reports.len(), campaign.scenarios.len());
     for report in &reports {
         assert!(!report.rows.is_empty(), "{} produced no rows", report.id);

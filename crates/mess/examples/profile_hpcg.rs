@@ -9,10 +9,9 @@
 //! every sample on the platform's bandwidth–latency curves and prints the stress-score
 //! timeline, its phases and the summary statistics.
 
-use mess::harness::profiling::profile_hpcg;
-use mess::harness::runner::scaled_platform;
-use mess::harness::Fidelity;
 use mess::platforms::PlatformId;
+use mess::scenario::engine::{profile_hpcg, scaled_platform};
+use mess::scenario::Fidelity;
 
 fn main() {
     let fidelity = if std::env::args().any(|a| a == "--quick") {

@@ -20,10 +20,10 @@
 //! * [`platforms`] — the Table I platform configurations and the memory-model factory;
 //! * [`profiler`] — curve positioning, stress scores and timeline analysis;
 //! * [`scenario`] — the declarative scenario layer: serializable experiment specs
-//!   (workloads × models × platforms × sweeps), the `run_scenario`/`run_campaign` engine,
-//!   and the builtin registry behind every paper figure;
-//! * [`harness`] — the experiment drivers (thin spec-runners since the scenario refactor)
-//!   that regenerate every table and figure.
+//!   (workloads × models × platforms × sweeps), the
+//!   `run_scenario_observed`/`run_campaign_observed` engine, and the builtin registry
+//!   (`builtin_spec`) behind every paper figure. To regenerate a figure from code, run
+//!   its builtin spec; the `mess-harness` binary does exactly that for `-e <id>`.
 //!
 //! # The CPU↔memory interface (v2)
 //!
@@ -88,7 +88,6 @@ pub use mess_cpu as cpu;
 pub use mess_cxl as cxl;
 pub use mess_dram as dram;
 pub use mess_exec as exec;
-pub use mess_harness as harness;
 pub use mess_memmodels as memmodels;
 pub use mess_platforms as platforms;
 pub use mess_profiler as profiler;

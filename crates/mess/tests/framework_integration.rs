@@ -4,9 +4,9 @@ use mess::bench::sweep::{characterize, SweepConfig};
 use mess::core::metrics::FamilyMetrics;
 use mess::core::{MessSimulator, MessSimulatorConfig};
 use mess::cpu::{Engine, OpStream, StopCondition};
-use mess::harness::{run_experiment, Fidelity};
 use mess::platforms::{build_memory_model, MemoryModelKind, PlatformId};
 use mess::profiler::{BandwidthSample, Profiler};
+use mess::scenario::{builtin_spec, run_scenario_with, Fidelity, ScenarioOptions};
 use mess::types::{Bandwidth, MemoryBackend, RwRatio};
 use mess::workloads::stream::{StreamConfig, StreamKernel};
 
@@ -22,7 +22,7 @@ fn quick_sweep() -> SweepConfig {
 /// A small Skylake-like platform used by the integration tests (full core counts are exercised
 /// by the harness binary and benches).
 fn small_platform() -> mess::platforms::PlatformSpec {
-    mess::harness::runner::scaled_platform(&PlatformId::IntelSkylake.spec(), Fidelity::Quick)
+    mess::scenario::engine::scaled_platform(&PlatformId::IntelSkylake.spec(), Fidelity::Quick)
 }
 
 #[test]
@@ -151,14 +151,18 @@ fn profiler_places_benchmark_measurements_consistently() {
 
 #[test]
 fn every_experiment_driver_runs_at_quick_fidelity() {
-    // fig2/table1/fig5/fig6/fig7/fig10/fig11/fig14/fig15/fig18 are exercised by their module
-    // tests; here we run the remaining drivers end-to-end through the public entry point.
+    // fig2/table1/fig5/fig6/fig7/fig10/fig11/fig14/fig15/fig18 are exercised by the scenario
+    // crate's per-section tests; here we run the remaining builtin specs end-to-end through
+    // the public entry point.
     for id in ["fig4", "fig12", "fig13"] {
-        let report = run_experiment(id, Fidelity::Quick).expect("known experiment");
+        let spec = builtin_spec(id, Fidelity::Quick).expect("known experiment");
+        let report = run_scenario_with(&spec, &ScenarioOptions::default())
+            .expect("builtin specs run")
+            .report;
         assert!(!report.rows.is_empty(), "{id} produced no rows");
         assert_eq!(report.id, id);
     }
-    assert!(run_experiment("fig99", Fidelity::Quick).is_none());
+    assert!(builtin_spec("fig99", Fidelity::Quick).is_none());
 }
 
 #[test]

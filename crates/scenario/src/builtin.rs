@@ -5,7 +5,7 @@
 //! `mess-harness --dump-spec <id>` prints the built spec as JSON; editing that file and
 //! re-running it with `--scenario` is exactly equivalent to running the builtin.
 
-use crate::report::{ExperimentReport, Fidelity};
+use crate::report::Fidelity;
 use crate::spec::{ScenarioKind, ScenarioSpec};
 use mess_bench::{SweepPreset, SweepSpec};
 use mess_platforms::{CurveSourceSpec, MemoryModelKind, ModelSpec, PlatformId, PlatformRef};
@@ -112,22 +112,23 @@ pub const BUILTINS: [BuiltinScenario; 13] = [
     },
 ];
 
-/// Looks up a builtin experiment by its canonical id.
+/// Looks up a builtin experiment by id. This is the one alias table: the paper figures
+/// that share an experiment resolve to it (`fig3` = `table1`, `fig16` = `fig15`,
+/// `fig17` = `fig18`). Returns `None` for unknown ids.
 pub fn builtin(id: &str) -> Option<&'static BuiltinScenario> {
-    BUILTINS.iter().find(|b| b.id == id)
+    let canonical = match id {
+        "fig3" => "table1",
+        "fig16" => "fig15",
+        "fig17" => "fig18",
+        other => other,
+    };
+    BUILTINS.iter().find(|b| b.id == canonical)
 }
 
-/// Builds the scenario spec of the builtin experiment `id` at `fidelity`.
+/// Builds the scenario spec of the builtin experiment `id` (or one of its aliases, see
+/// [`builtin`]) at `fidelity`.
 pub fn builtin_spec(id: &str, fidelity: Fidelity) -> Option<ScenarioSpec> {
     builtin(id).map(|b| b.spec(fidelity))
-}
-
-/// Runs the builtin experiment `id` at `fidelity` through the scenario engine.
-///
-/// Returns `None` for an unknown id; builtin specs themselves always execute.
-pub fn run_builtin(id: &str, fidelity: Fidelity) -> Option<ExperimentReport> {
-    let spec = builtin_spec(id, fidelity)?;
-    Some(crate::engine::run_scenario(&spec).expect("builtin scenario specs are valid"))
 }
 
 // ---------------------------------------------------------------------------
@@ -562,6 +563,24 @@ mod tests {
         }
         assert!(builtin("fig2").is_some());
         assert!(builtin("fig99").is_none());
+    }
+
+    #[test]
+    fn aliases_resolve_to_their_canonical_builtins() {
+        for (alias, canonical) in [("fig3", "table1"), ("fig16", "fig15"), ("fig17", "fig18")] {
+            assert_eq!(builtin(alias).unwrap().id, canonical, "{alias}");
+            assert_eq!(
+                builtin_spec(alias, Fidelity::Quick),
+                builtin_spec(canonical, Fidelity::Quick),
+                "{alias}"
+            );
+        }
+        // Every canonical id resolves to itself.
+        for b in &BUILTINS {
+            assert_eq!(builtin(b.id).unwrap().id, b.id);
+        }
+        assert!(builtin("fig99").is_none());
+        assert!(builtin_spec("fig99", Fidelity::Quick).is_none());
     }
 
     #[test]

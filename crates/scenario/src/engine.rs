@@ -1,14 +1,14 @@
 //! The scenario engine: one `characterize → simulate → report` pipeline for every spec.
 //!
-//! [`run_scenario`] resolves a [`ScenarioSpec`] through the lower-layer registries
-//! (platforms, models, workloads, sweeps) and executes it; [`run_campaign`] fans a
-//! [`CampaignSpec`] out through the `mess-exec` job runner, one job per scenario. Every
-//! parallel leg keeps the order-preserving `par_map` structure of the original hand-written
-//! drivers, so reports are byte-identical at any worker count.
+//! [`run_scenario_observed`] resolves a [`ScenarioSpec`] through the lower-layer
+//! registries (platforms, models, workloads, sweeps) and executes it, narrating its legs to
+//! a [`ProgressSink`]; [`run_campaign_observed`] fans a [`CampaignSpec`] out through the
+//! `mess-exec` job runner, one job per scenario. Every parallel leg uses the
+//! order-preserving `par_map`, so reports are byte-identical at any worker count.
 //!
 //! The free functions in this module (trace capture, trace folding, STREAM reference
-//! bandwidths, the quick-fidelity platform scaling) are the shared plumbing the old
-//! per-figure drivers each carried a copy of.
+//! bandwidths, the quick-fidelity platform scaling) are the plumbing the scenario kinds
+//! share.
 
 use crate::progress::{NoProgress, ProgressEvent, ProgressSink};
 use crate::report::{ExperimentReport, Fidelity};
@@ -33,7 +33,7 @@ use mess_workloads::spec_suite::{classify_utilisation, IntensityClass};
 use mess_workloads::stream::{StreamConfig, StreamKernel};
 
 // ---------------------------------------------------------------------------
-// Shared helpers (formerly duplicated across the harness drivers)
+// Shared helpers
 // ---------------------------------------------------------------------------
 
 /// Shrinks a platform's core count for quick runs so unit tests stay fast while the full runs
@@ -153,20 +153,6 @@ impl ValidationWorkload {
             .streams(cpu.llc.capacity_bytes, cpu.cores)
             .expect("validation workload specs are always valid")
     }
-}
-
-/// Runs a validation workload and returns its IPC.
-pub fn workload_ipc(
-    workload: ValidationWorkload,
-    platform: &PlatformSpec,
-    backend: &mut dyn MemoryBackend,
-    fidelity: Fidelity,
-) -> f64 {
-    let max_cycles = match fidelity {
-        Fidelity::Quick => 3_000_000,
-        Fidelity::Full => 60_000_000,
-    };
-    spec_workload_ipc(&workload.spec(fidelity), platform, backend, max_cycles)
 }
 
 /// Measures the STREAM kernels' sustained bandwidth on the platform's reference memory (the
@@ -486,19 +472,9 @@ fn artifact(
 // The scenario engine
 // ---------------------------------------------------------------------------
 
-/// Resolves and executes one scenario, returning its report (artifacts discarded — see
-/// [`run_scenario_with`] to keep them).
-///
-/// # Errors
-///
-/// Returns the spec's validation error, or a model/workload resolution error, without
-/// running anything; the simulation itself cannot fail.
-pub fn run_scenario(spec: &ScenarioSpec) -> Result<ExperimentReport, MessError> {
-    Ok(run_scenario_with(spec, &ScenarioOptions::default())?.report)
-}
-
-/// Resolves and executes one scenario with operator options, returning the report *and*
-/// every curve family the run measured as [`CurveSet`] artifacts.
+/// [`run_scenario_observed`] with no progress sink: resolves and executes one scenario
+/// with operator options, returning the report *and* every curve family the run measured
+/// as [`CurveSet`] artifacts.
 ///
 /// # Errors
 ///
@@ -709,53 +685,10 @@ pub fn run_scenario_observed(
 }
 
 /// Runs a campaign through the `mess-exec` job runner: one job per scenario, executed
-/// concurrently, with `progress` narrating job starts and finishes. Reports come back in
-/// campaign order.
-///
-/// # Errors
-///
-/// Returns the first validation error before anything runs, or the first scenario execution
-/// error after the batch drains.
-pub fn run_campaign(
-    campaign: &CampaignSpec,
-    progress: impl FnMut(mess_exec::JobEvent<'_>),
-) -> Result<Vec<ExperimentReport>, MessError> {
-    Ok(
-        run_campaign_with(campaign, &ScenarioOptions::default(), progress)?
-            .into_iter()
-            .map(|outcome| outcome.report)
-            .collect(),
-    )
-}
-
-/// [`run_campaign`] with operator options: every scenario receives the same
-/// [`ScenarioOptions`], and each outcome keeps its curve artifacts.
-///
-/// # Errors
-///
-/// Returns the first validation error before anything runs, or the first scenario
-/// execution error after the batch drains.
-pub fn run_campaign_with(
-    campaign: &CampaignSpec,
-    options: &ScenarioOptions,
-    progress: impl FnMut(mess_exec::JobEvent<'_>),
-) -> Result<Vec<ScenarioOutcome>, MessError> {
-    campaign.validate()?;
-    let mut graph = mess_exec::JobGraph::new();
-    for scenario in &campaign.scenarios {
-        graph.add_job(scenario.id.clone(), &[], move || {
-            run_scenario_with(scenario, options)
-        });
-    }
-    let results = graph
-        .run(&ExecConfig::default(), progress)
-        .expect("campaign jobs declare no dependencies");
-    results.into_iter().collect()
-}
-
-/// [`run_campaign_with`] narrating every member scenario through `sink` (see
-/// [`run_scenario_observed`]) and honouring [`ScenarioOptions::cancel`]: once the token
-/// fires, members not yet dispatched never run and surface as [`MessError::Cancelled`].
+/// concurrently, every member narrating itself through `sink` (see
+/// [`run_scenario_observed`]). Outcomes come back in campaign order. Honours
+/// [`ScenarioOptions::cancel`]: once the token fires, members not yet dispatched never run
+/// and surface as [`MessError::Cancelled`].
 ///
 /// # Errors
 ///
@@ -785,7 +718,7 @@ pub fn run_campaign_observed(
 }
 
 // ---------------------------------------------------------------------------
-// Per-kind execution (ported from the hand-written per-figure drivers)
+// Per-kind execution
 // ---------------------------------------------------------------------------
 
 #[allow(clippy::too_many_arguments)]
@@ -1674,7 +1607,7 @@ mod tests {
             },
             notes: vec![],
         };
-        assert!(run_scenario(&spec).is_err());
+        assert!(run_scenario_with(&spec, &ScenarioOptions::default()).is_err());
     }
 
     #[test]
@@ -1690,7 +1623,9 @@ mod tests {
             },
             notes: vec!["a fixed note".into()],
         };
-        let report = run_scenario(&spec).unwrap();
+        let report = run_scenario_with(&spec, &ScenarioOptions::default())
+            .unwrap()
+            .report;
         assert_eq!(report.id, "gups-md1");
         assert_eq!(report.rows.len(), 1);
         assert_eq!(report.rows[0][0], "GUPS");
@@ -1717,16 +1652,18 @@ mod tests {
             name: "two-runs".into(),
             scenarios: vec![scenario("first", 100), scenario("second", 150)],
         };
-        let mut finished = Vec::new();
-        let reports = run_campaign(&campaign, |event| {
-            if let mess_exec::JobEvent::Finished { name, .. } = event {
-                finished.push(name.to_string());
+        let finished = std::sync::Mutex::new(Vec::new());
+        let sink = |event: ProgressEvent| {
+            if let ProgressEvent::ScenarioFinished { scenario, .. } = event {
+                finished.lock().unwrap().push(scenario);
             }
-        })
-        .unwrap();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].id, "first");
-        assert_eq!(reports[1].id, "second");
+        };
+        let outcomes =
+            run_campaign_observed(&campaign, &ScenarioOptions::default(), &sink).unwrap();
+        assert_eq!(outcomes.len(), 2);
+        assert_eq!(outcomes[0].report.id, "first");
+        assert_eq!(outcomes[1].report.id, "second");
+        let mut finished = finished.into_inner().unwrap();
         finished.sort();
         assert_eq!(finished, vec!["first".to_string(), "second".to_string()]);
     }
@@ -1762,8 +1699,6 @@ mod tests {
             let json = set.to_json();
             assert_eq!(CurveSet::from_json(&json).unwrap().to_json(), json);
         }
-        // The plain `run_scenario` path returns the identical report.
-        assert_eq!(run_scenario(&spec).unwrap(), outcome.report);
     }
 
     #[test]
@@ -1913,12 +1848,85 @@ mod tests {
             },
             notes: vec![],
         };
+        let run = || {
+            run_scenario_with(&spec, &ScenarioOptions::default())
+                .unwrap()
+                .report
+        };
         mess_exec::set_default_threads(1);
-        let sequential = run_scenario(&spec).unwrap();
+        let sequential = run();
         mess_exec::set_default_threads(4);
-        let parallel = run_scenario(&spec).unwrap();
+        let parallel = run();
         mess_exec::set_default_threads(0);
         assert_eq!(sequential, parallel);
         assert_eq!(sequential.to_csv(), parallel.to_csv());
+    }
+
+    #[test]
+    fn skylake_characterization_produces_rising_write_sensitive_curves() {
+        use mess_bench::sweep::{characterize_with, SweepConfig};
+        let platform = scaled_platform(&PlatformId::IntelSkylake.spec(), Fidelity::Quick);
+        // The same sweep the fig2 builtin scenario uses at quick fidelity.
+        let sweep = SweepConfig {
+            store_mixes: vec![0.0, 1.0],
+            pause_levels: vec![200, 40, 8, 0],
+            chase_loads: 150,
+            max_cycles_per_point: 800_000,
+        };
+        let c = characterize_with(
+            platform.name,
+            &platform.cpu_config(),
+            || platform.build_dram(),
+            &sweep,
+            &ExecConfig::default(),
+        )
+        .expect("sweep is valid");
+        assert_eq!(c.family.len(), 2);
+        let reads = c.family.closest_curve(RwRatio::ALL_READS);
+        assert!(reads.max_latency() > reads.unloaded_latency());
+        // Write-heavy traffic must achieve less bandwidth than pure reads (paper §II-C).
+        let writes = c.family.closest_curve(RwRatio::HALF);
+        assert!(writes.max_bandwidth() < reads.max_bandwidth());
+        // And the whole family stays below the theoretical peak.
+        assert!(c.family.max_bandwidth().as_gbs() <= platform.theoretical_bandwidth().as_gbs());
+    }
+
+    #[test]
+    fn trace_folding_counts_every_request_once() {
+        use mess_bench::trace::TraceRecord;
+        use mess_types::Frequency;
+        let records: Vec<TraceRecord> = (0..1_000)
+            .map(|i| TraceRecord {
+                cycle: i * 10,
+                addr: i * 64,
+                kind: if i % 3 == 0 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
+            })
+            .collect();
+        let trace = Trace { records };
+        let samples = trace_to_samples(&trace, Frequency::from_ghz(2.0), 1.0);
+        assert!(!samples.is_empty());
+        let freq = Frequency::from_ghz(2.0);
+        let window = Cycle::new((1.0 * 1_000.0 * freq.as_ghz()) as u64).to_latency(freq);
+        let total_bytes: f64 = samples
+            .iter()
+            .map(|s| s.bandwidth.as_gbs() * window.as_ns())
+            .sum();
+        assert!(
+            (total_bytes - 1_000.0 * 64.0).abs() < 1.0,
+            "bytes accounted {total_bytes}"
+        );
+    }
+
+    #[test]
+    fn hpcg_profile_is_memory_intensive_on_a_small_platform() {
+        let platform = scaled_platform(&PlatformId::IntelCascadeLake.spec(), Fidelity::Quick);
+        let timeline = profile_hpcg(&platform, Fidelity::Quick);
+        assert!(!timeline.is_empty());
+        assert!(timeline.peak_bandwidth().as_gbs() > 1.0);
+        assert!(timeline.mean_stress() >= 0.0 && timeline.mean_stress() <= 1.0);
     }
 }

@@ -9,7 +9,8 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// How much simulation work an experiment driver should spend.
+/// How much simulation work a builtin experiment spec asks for; [`crate::builtin_spec`]
+/// bakes it into the spec's sweeps and cycle budgets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Fidelity {
     /// Small sweeps and short runs: suitable for unit tests and smoke runs (seconds).
@@ -18,7 +19,7 @@ pub enum Fidelity {
     Full,
 }
 
-/// The result of one experiment driver.
+/// The result of one scenario run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentReport {
     /// Experiment identifier (`fig2`, `table1`, ...).
@@ -55,8 +56,8 @@ impl ExperimentReport {
         self.rows.push(cells);
     }
 
-    /// Appends every row of a batch in order — the collection side of the parallel drivers,
-    /// which compute rows with `mess_exec::par_map` and push them here.
+    /// Appends every row of a batch in order — the collection side of the engine's
+    /// parallel legs, which compute rows with `mess_exec::par_map` and push them here.
     pub fn push_rows(&mut self, rows: impl IntoIterator<Item = Vec<String>>) {
         for row in rows {
             self.push_row(row);

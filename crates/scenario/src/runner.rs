@@ -1,20 +1,9 @@
-//! Shared experiment plumbing (re-exported from the scenario engine).
-//!
-//! The helpers that every driver used to need — workload construction, IPC measurement,
-//! quick-fidelity platform scaling — moved into `mess_scenario::engine` with the
-//! declarative scenario refactor. [`ValidationWorkload`] is now a thin name over
-//! [`mess_scenario::WorkloadSpec`]: its `streams` build the same op streams as before, but
-//! through the one spec-resolution pipeline every scenario file uses.
+//! The quick-fidelity plumbing every builtin report runs on: platform scaling, validation
+//! workload streams and the IPC error metric.
 
-pub use mess_scenario::engine::{
-    ipc_error_percent, run_streams, scaled_platform, spec_workload_ipc, workload_ipc,
-    ValidationWorkload,
-};
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::report::Fidelity;
+    use crate::engine::{ipc_error_percent, scaled_platform, ValidationWorkload};
+    use crate::Fidelity;
     use mess_platforms::PlatformId;
 
     #[test]

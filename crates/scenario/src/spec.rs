@@ -2,7 +2,7 @@
 //!
 //! A scenario is *data*: a platform reference, an experiment shape ([`ScenarioKind`]) with
 //! its parameters — workloads, memory models, sweeps, cycle budgets — and optional fixed
-//! notes. The engine ([`crate::engine::run_scenario`]) resolves the spec through the
+//! notes. The engine ([`crate::engine::run_scenario_observed`]) resolves the spec through the
 //! lower-layer registries ([`mess_workloads::spec::WorkloadSpec`] → op streams,
 //! [`mess_platforms::ModelSpec`] → backend factories, [`mess_platforms::PlatformRef`] →
 //! platform specs, [`mess_bench::SweepSpec`] → sweep configs) and executes it.
