@@ -318,6 +318,8 @@ mod tests {
         assert_eq!(back, set);
         assert_eq!(back.to_json() + "\n", bytes);
         fs::remove_dir_all(&dir).ok();
+        let missing = CurveSet::load(&path).unwrap_err();
+        assert!(matches!(missing, MessError::Parse(_)), "{missing}");
     }
 
     #[test]

@@ -516,9 +516,13 @@ mod tests {
             CurveFamily::from_ratio_rows("ratio-rows", &family().to_ratio_rows()).unwrap(),
             "from_ratio_rows",
         );
+        let provenance = crate::CurveSetProvenance::new("p", "m", "s", "id");
+        let set = crate::CurveSet::new(family(), provenance).unwrap();
         check(
-            crate::io::from_json(&crate::io::to_json(&family()).unwrap()).unwrap(),
-            "io::from_json loader",
+            crate::CurveSet::from_json(&set.to_json())
+                .unwrap()
+                .into_family(),
+            "CurveSet::from_json loader",
         );
     }
 

@@ -14,7 +14,6 @@
 //! * [`simulator`] — the [`MessSimulator`]: the curve-driven analytical memory model with the
 //!   proportional feedback-control loop of paper §V, implementing the standard
 //!   [`mess_types::MemoryBackend`] interface.
-//! * [`io`] — JSON/CSV persistence of curve families, mirroring the artifact's curve files.
 //! * [`curveset`] — the [`CurveSet`]: a versioned, provenance-carrying on-disk curve
 //!   artifact. Curve families are the *interface* between the three pillars of the Mess
 //!   methodology (the benchmark produces them, the simulator consumes them, the profiler
@@ -44,7 +43,6 @@
 pub mod curve;
 pub mod curveset;
 pub mod family;
-pub mod io;
 pub mod metrics;
 pub mod simulator;
 pub mod synthetic;

@@ -1,13 +1,12 @@
 //! Cooperative cancellation for queued and fanned-out work.
 //!
 //! A [`CancelToken`] is a cheap, cloneable flag shared between whoever schedules work (a
-//! campaign runner, the `mess-serve` daemon) and whoever might want to stop it (an HTTP
-//! `DELETE`, a shutdown path). Cancellation is *cooperative* and coarse-grained: it stops
-//! work that has not been dispatched yet — a [`JobGraph::run_with_cancel`] stops handing
-//! out ready jobs, a queued daemon run never starts — but never interrupts a job already
-//! executing, so partial, non-deterministic results can never be observed.
-//!
-//! [`JobGraph::run_with_cancel`]: crate::JobGraph::run_with_cancel
+//! campaign, the `mess-serve` daemon) and whoever might want to stop it (an HTTP
+//! `DELETE`, a shutdown path). Cancellation is *cooperative* and coarse-grained: work
+//! checks the token before it starts — a campaign member a [`par_map`](crate::par_map)
+//! worker picks up after the token fired returns at once, a queued daemon run never
+//! starts — but nothing already executing is interrupted, so partial, non-deterministic
+//! results can never be observed.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

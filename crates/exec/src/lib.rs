@@ -5,13 +5,12 @@
 //! independent per-platform or per-workload legs. This crate turns that structure into
 //! wall-clock speedup without sacrificing the framework's reproducibility guarantees:
 //!
-//! * [`par_map`] / [`par_map_with`] / [`WorkerPool`] — an order-preserving parallel map over
-//!   a scoped worker pool (`std::thread::scope` + `std::sync::mpsc`). Results come back **in
-//!   input order regardless of scheduling**, so curve families and CSV files are
-//!   byte-identical at any thread count.
-//! * [`JobGraph`] — a runner for heterogeneous jobs with dependencies and progress
-//!   callbacks, used by the harness to execute `--experiment all` and narrate per-job
-//!   progress.
+//! * [`par_map`] / [`par_map_with`] — an order-preserving parallel map over a scoped worker
+//!   pool (`std::thread::scope` + `std::sync::mpsc`). Results come back **in input order
+//!   regardless of scheduling**, so curve families and CSV files are byte-identical at any
+//!   thread count. It is the one scheduler: sweep points, per-platform legs and the members
+//!   of a scenario campaign (`--experiment all`) all fan out through it.
+//! * [`CancelToken`] — cooperative cancellation that callers check before starting work.
 //! * [`ExecConfig`] / [`set_default_threads`] — the worker-count knob. It defaults to
 //!   [`std::thread::available_parallelism`]; the harness `--threads N` flag sets the
 //!   process-wide default so every driver inherits it.
@@ -69,13 +68,11 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod cancel;
-pub mod graph;
 mod obs;
 pub mod pool;
 
 pub use cancel::CancelToken;
-pub use graph::{GraphError, JobEvent, JobGraph, JobId};
 pub use pool::{
     default_threads, in_worker, par_map, par_map_with, set_default_threads, with_default_threads,
-    ExecConfig, WorkerPool,
+    ExecConfig,
 };

@@ -1,9 +1,9 @@
 //! `mess-exec`'s metric handles, registered once into the global `mess-obs` registry.
 //!
-//! Everything here is gated by the caller on [`mess_obs::enabled`] — the pool and graph
-//! runners take one relaxed-load branch when observability is off and never touch these
-//! handles. The gauge discipline is add/sub (never `set`), so concurrent pools and
-//! graphs in one process compose into a meaningful process-wide backlog figure.
+//! Everything here is gated by the caller on [`mess_obs::enabled`] — the pool takes one
+//! relaxed-load branch when observability is off and never touches these handles. The
+//! gauge discipline is add/sub (never `set`), so concurrent pools in one process compose
+//! into a meaningful process-wide backlog figure.
 
 use std::sync::OnceLock;
 
@@ -11,18 +11,15 @@ use mess_obs::{Counter, Gauge, Histogram, Registry, DEFAULT_LATENCY_BUCKETS};
 use std::sync::Arc;
 
 pub(crate) struct ExecMetrics {
-    /// `mess_exec_pool_items_total`: items executed by `par_map` pools (parallel path).
+    /// `mess_exec_pool_items_total`: items executed by `par_map` pools (parallel path) —
+    /// sweep points, legs and campaign members alike.
     pub items: Arc<Counter>,
     /// `mess_exec_queue_depth`: items currently sitting in pull queues, not yet picked up.
     pub queue_depth: Arc<Gauge>,
     /// `mess_exec_job_wait_seconds`: time from map start to an item's pickup.
     pub wait: Arc<Histogram>,
-    /// `mess_exec_job_run_seconds`: closure execution time per item/job.
+    /// `mess_exec_job_run_seconds`: closure execution time per item.
     pub run: Arc<Histogram>,
-    /// `mess_exec_graph_jobs_total`: graph jobs dispatched to a worker (or run inline).
-    pub graph_jobs: Arc<Counter>,
-    /// `mess_exec_jobs_skipped_total`: graph jobs never dispatched because a cancel fired.
-    pub skipped: Arc<Counter>,
     /// `mess_exec_cancels_total`: cancel tokens fired (first `cancel()` per token).
     pub cancels: Arc<Counter>,
 }
@@ -57,20 +54,8 @@ impl ExecMetrics {
                 run: registry
                     .histogram(
                         "mess_exec_job_run_seconds",
-                        "Per-item/job closure execution time",
+                        "Per-item closure execution time",
                         DEFAULT_LATENCY_BUCKETS,
-                    )
-                    .expect(expect),
-                graph_jobs: registry
-                    .counter(
-                        "mess_exec_graph_jobs_total",
-                        "Graph jobs dispatched (including inline execution)",
-                    )
-                    .expect(expect),
-                skipped: registry
-                    .counter(
-                        "mess_exec_jobs_skipped_total",
-                        "Graph jobs never dispatched because a cancel token fired",
                     )
                     .expect(expect),
                 cancels: registry

@@ -15,9 +15,9 @@ use std::sync::{mpsc, Mutex};
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 std::thread_local! {
-    /// `true` on threads spawned by a `mess-exec` pool or graph runner. Nested parallel
-    /// calls check this and run inline, so the configured worker count is a *process-wide*
-    /// cap rather than a per-nesting-level multiplier.
+    /// `true` on threads spawned by a `mess-exec` pool. Nested parallel calls check this
+    /// and run inline, so the configured worker count is a *process-wide* cap rather than a
+    /// per-nesting-level multiplier.
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 
     /// Per-thread override of the default worker count (see [`with_default_threads`]);
@@ -32,10 +32,10 @@ pub fn in_worker() -> bool {
 }
 
 /// Marks the current thread as a pool worker for the duration of the returned guard.
-pub(crate) struct WorkerMark;
+struct WorkerMark;
 
 impl WorkerMark {
-    pub(crate) fn enter() -> WorkerMark {
+    fn enter() -> WorkerMark {
         IN_WORKER.with(|flag| flag.set(true));
         WorkerMark
     }
@@ -153,38 +153,6 @@ impl ExecConfig {
     }
 }
 
-/// A handle bundling an [`ExecConfig`] with the map/execute entry points.
-///
-/// The pool is *scoped*: threads are spawned inside each call and joined before it returns
-/// ([`std::thread::scope`]), so jobs may freely borrow from the caller's stack — platform
-/// specs, sweep configurations, backend factories — without `Arc` or `'static` bounds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkerPool {
-    config: ExecConfig,
-}
-
-impl WorkerPool {
-    /// A pool with the given configuration.
-    pub fn new(config: ExecConfig) -> Self {
-        WorkerPool { config }
-    }
-
-    /// The number of workers the pool will run.
-    pub fn threads(&self) -> usize {
-        self.config.resolved_threads()
-    }
-
-    /// Order-preserving parallel map: see [`par_map_with`].
-    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Send + Sync,
-    {
-        par_map_with(&self.config, items, f)
-    }
-}
-
 /// Maps `f` over `items` with the process-default worker count, preserving input order.
 ///
 /// Equivalent to [`par_map_with`] with [`ExecConfig::default`].
@@ -200,6 +168,9 @@ where
 /// Maps `f(index, item)` over `items` on a scoped worker pool and returns the results **in
 /// input order**, regardless of how the items were scheduled across workers.
 ///
+/// * The pool is scoped ([`std::thread::scope`]): threads are spawned inside the call and
+///   joined before it returns, so `f` may borrow from the caller's stack without `Arc` or
+///   `'static` bounds.
 /// * Workers pull items from a shared queue, so costly items do not serialize behind cheap
 ///   ones; with one worker (or one item) the map runs inline on the caller's thread, making
 ///   the sequential and parallel paths take literally the same code path through `f`.
@@ -354,6 +325,22 @@ mod tests {
             x + 1
         });
         assert_eq!(out, vec![2]);
+
+        // Two items on two workers run concurrently: each waits for the other to have
+        // started, so neither could finish on a serialized schedule.
+        let gate = AtomicU64::new(0);
+        par_map_with(&ExecConfig::with_threads(2), vec![(); 2], |_, ()| {
+            assert_ne!(std::thread::current().id(), caller);
+            gate.fetch_add(1, Ordering::SeqCst);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while gate.load(Ordering::SeqCst) < 2 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "items did not overlap"
+                );
+                std::hint::spin_loop();
+            }
+        });
     }
 
     #[test]
@@ -529,12 +516,5 @@ mod tests {
         })
         .join()
         .unwrap();
-    }
-
-    #[test]
-    fn worker_pool_reports_threads_and_maps() {
-        let pool = WorkerPool::new(ExecConfig::with_threads(2));
-        assert_eq!(pool.threads(), 2);
-        assert_eq!(pool.map(vec![1, 2, 3], |_, x: u32| x * x), vec![1, 4, 9]);
     }
 }

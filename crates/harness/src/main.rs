@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! mess-harness --experiment fig5              # one builtin experiment at full fidelity
-//! mess-harness --experiment all --quick       # smoke-run everything (parallel job runner)
+//! mess-harness --experiment all --quick       # smoke-run everything (parallel par_map)
 //! mess-harness --experiment fig2 --out out/   # also write out/fig2.csv + summary JSON
 //! mess-harness --dump-spec fig11 --quick      # export the builtin as editable JSON
 //! mess-harness --scenario my-scenario.json    # run one scenario from a file

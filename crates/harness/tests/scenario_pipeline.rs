@@ -68,7 +68,7 @@ fn dumped_builtin_spec_reruns_to_the_identical_report() {
 fn checked_in_example_campaign_runs_end_to_end() {
     // The acceptance scenario: a campaign JSON pairing GUPS with the CXL-expander and
     // M/D/1 models — a combination no builtin experiment covers — loads, validates, runs
-    // through the job runner, and emits CSV rows.
+    // through the campaign fan-out, and emits CSV rows.
     let path = scenarios_dir().join("custom-campaign.json");
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));

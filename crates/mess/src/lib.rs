@@ -6,7 +6,7 @@
 //! * [`types`] — units, requests, the [`types::MemoryBackend`] interface v2 and its
 //!   conformance suite;
 //! * [`exec`] — deterministic parallel execution: the order-preserving `par_map` worker
-//!   pool and the job-graph runner behind every parallel sweep and experiment campaign;
+//!   pool behind every parallel sweep, leg and experiment campaign;
 //! * [`core`] — bandwidth–latency curves, curve families, metrics, the Mess analytical
 //!   simulator (the paper's primary contribution), and the persistent `CurveSet` artifact
 //!   that carries characterized families between runs;

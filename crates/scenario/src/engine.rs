@@ -2,8 +2,8 @@
 //!
 //! [`run_scenario_observed`] resolves a [`ScenarioSpec`] through the lower-layer
 //! registries (platforms, models, workloads, sweeps) and executes it, narrating its legs to
-//! a [`ProgressSink`]; [`run_campaign_observed`] fans a [`CampaignSpec`] out through the
-//! `mess-exec` job runner, one job per scenario. Every parallel leg uses the
+//! a [`ProgressSink`]; [`run_campaign_observed`] fans a [`CampaignSpec`] out, one
+//! `par_map` item per scenario. Campaign members and parallel legs alike use the
 //! order-preserving `par_map`, so reports are byte-identical at any worker count.
 //!
 //! The free functions in this module (trace capture, trace folding, STREAM reference
@@ -294,7 +294,7 @@ pub struct ScenarioOptions {
     pub curves: Option<CurveSet>,
     /// Cooperative cancellation: a fired token makes [`run_scenario_observed`] return
     /// [`MessError::Cancelled`] before executing, and makes [`run_campaign_observed`]
-    /// skip every member scenario not yet dispatched. Work already executing always runs
+    /// skip every member scenario not yet picked up. Work already executing always runs
     /// to completion — partial results are never observable.
     pub cancel: Option<mess_exec::CancelToken>,
 }
@@ -684,10 +684,10 @@ pub fn run_scenario_observed(
     Ok(ScenarioOutcome { report, curve_sets })
 }
 
-/// Runs a campaign through the `mess-exec` job runner: one job per scenario, executed
-/// concurrently, every member narrating itself through `sink` (see
+/// Runs a campaign on the order-preserving [`mess_exec::par_map`]: one item per scenario,
+/// executed concurrently, every member narrating itself through `sink` (see
 /// [`run_scenario_observed`]). Outcomes come back in campaign order. Honours
-/// [`ScenarioOptions::cancel`]: once the token fires, members not yet dispatched never run
+/// [`ScenarioOptions::cancel`]: once the token fires, members not yet picked up never run
 /// and surface as [`MessError::Cancelled`].
 ///
 /// # Errors
@@ -701,20 +701,11 @@ pub fn run_campaign_observed(
     sink: &dyn ProgressSink,
 ) -> Result<Vec<ScenarioOutcome>, MessError> {
     campaign.validate()?;
-    let cancel = options.cancel.clone().unwrap_or_default();
-    let mut graph = mess_exec::JobGraph::new();
-    for scenario in &campaign.scenarios {
-        graph.add_job(scenario.id.clone(), &[], move || {
-            run_scenario_observed(scenario, options, sink)
-        });
-    }
-    let slots = graph
-        .run_with_cancel(&ExecConfig::default(), &cancel, |_| {})
-        .expect("campaign jobs declare no dependencies");
-    slots
-        .into_iter()
-        .map(|slot| slot.ok_or(MessError::Cancelled).and_then(|outcome| outcome))
-        .collect()
+    mess_exec::par_map(campaign.scenarios.iter().collect(), |_, scenario| {
+        run_scenario_observed(scenario, options, sink)
+    })
+    .into_iter()
+    .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1853,13 +1844,83 @@ mod tests {
                 .unwrap()
                 .report
         };
-        mess_exec::set_default_threads(1);
-        let sequential = run();
-        mess_exec::set_default_threads(4);
-        let parallel = run();
-        mess_exec::set_default_threads(0);
+        let sequential = mess_exec::with_default_threads(1, run);
+        let parallel = mess_exec::with_default_threads(4, run);
         assert_eq!(sequential, parallel);
         assert_eq!(sequential.to_csv(), parallel.to_csv());
+
+        // The same holds one level up: campaign members fan out on the pool too.
+        let campaign = CampaignSpec {
+            name: "det-campaign".into(),
+            scenarios: vec![
+                spec.clone(),
+                ScenarioSpec {
+                    id: "det-run".into(),
+                    title: "determinism run".into(),
+                    platform: PlatformRef::quick(PlatformId::IntelSkylake),
+                    kind: ScenarioKind::Run {
+                        workload: WorkloadSpec::gups(100),
+                        model: ModelSpec::of(MemoryModelKind::FixedLatency),
+                        max_cycles: 1_000_000,
+                    },
+                    notes: vec![],
+                },
+            ],
+        };
+        let run_campaign =
+            || run_campaign_observed(&campaign, &ScenarioOptions::default(), &NoProgress).unwrap();
+        let sequential = mess_exec::with_default_threads(1, run_campaign);
+        let parallel = mess_exec::with_default_threads(4, run_campaign);
+        assert_eq!(sequential.len(), 2);
+        assert_eq!(sequential, parallel);
+        for (a, b) in sequential.iter().zip(&parallel) {
+            assert_eq!(a.report.to_csv(), b.report.to_csv());
+            let json = |o: &ScenarioOutcome| -> Vec<String> {
+                o.curve_sets.iter().map(CurveSet::to_json).collect()
+            };
+            assert_eq!(json(a), json(b));
+        }
+        assert_eq!(sequential[0].curve_sets.len(), 2, "one artifact per model");
+    }
+
+    #[test]
+    fn cancel_mid_campaign_skips_members_not_yet_picked_up() {
+        // One worker: the first member's finish fires the token, so the other two are
+        // picked up after the cancel and return before narrating a start.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let scenario = |id: &str| ScenarioSpec {
+            id: id.into(),
+            title: id.into(),
+            platform: PlatformRef::quick(PlatformId::IntelSkylake),
+            kind: ScenarioKind::Run {
+                workload: WorkloadSpec::gups(100),
+                model: ModelSpec::of(MemoryModelKind::FixedLatency),
+                max_cycles: 1_000_000,
+            },
+            notes: vec![],
+        };
+        let campaign = CampaignSpec {
+            name: "cancel-mid-run".into(),
+            scenarios: vec![scenario("a"), scenario("b"), scenario("c")],
+        };
+        let token = mess_exec::CancelToken::new();
+        let options = ScenarioOptions {
+            cancel: Some(token.clone()),
+            ..Default::default()
+        };
+        let started = AtomicUsize::new(0);
+        let sink = |event: ProgressEvent| match event {
+            ProgressEvent::ScenarioStarted { .. } => {
+                started.fetch_add(1, Ordering::SeqCst);
+            }
+            ProgressEvent::ScenarioFinished { .. } => token.cancel(),
+            _ => {}
+        };
+        let result = mess_exec::with_default_threads(1, || {
+            run_campaign_observed(&campaign, &options, &sink)
+        });
+        assert_eq!(result.unwrap_err(), MessError::Cancelled);
+        assert_eq!(started.load(Ordering::SeqCst), 1);
     }
 
     #[test]

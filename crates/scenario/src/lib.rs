@@ -10,7 +10,7 @@
 //!   [`SweepSpec`]), all JSON-serializable through the workspace serde stand-ins;
 //! * [`engine`] — [`run_scenario_observed`] / [`run_campaign_observed`]: the single
 //!   `characterize → simulate → report` pipeline every spec executes through, with
-//!   campaign fan-out over the deterministic `mess-exec` job runner
+//!   campaign fan-out over the order-preserving `mess_exec::par_map`
 //!   ([`run_scenario_with`] is the same run without a progress sink);
 //! * [`mod@builtin`] — every table and figure of the paper as a registered spec builder
 //!   ([`builtin()`] also resolves the paper's figure aliases). A builtin id is just a spec:

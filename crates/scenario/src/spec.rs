@@ -378,7 +378,7 @@ impl ScenarioSpec {
     }
 }
 
-/// A batch of scenarios, executed through the `mess-exec` job runner.
+/// A batch of scenarios, fanned out one `mess_exec::par_map` item per scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignSpec {
     /// Campaign name (used for the summary file).
