@@ -9,7 +9,7 @@
 //! ([`mess_workloads::latency::sattolo_chase`]), over its own array.
 
 use mess_cpu::ProgramStream;
-use mess_types::CACHE_LINE_BYTES;
+use mess_types::{MessError, CACHE_LINE_BYTES};
 use mess_workloads::latency::sattolo_chase;
 use serde::{Deserialize, Serialize};
 
@@ -31,10 +31,31 @@ impl PointerChaseConfig {
     /// The benchmark default: an array of four times the LLC, traversed with `loads` hops.
     pub fn sized_against_llc(llc_bytes: u64, loads: u64) -> Self {
         PointerChaseConfig {
-            array_bytes: llc_bytes * 4,
+            array_bytes: llc_bytes.saturating_mul(4),
             loads,
             seed: 0x6d65_7373,
         }
+    }
+
+    /// Cache lines in the chased array (at least two, so the walk has a cycle).
+    fn lines(&self) -> u64 {
+        (self.array_bytes / CACHE_LINE_BYTES).max(2)
+    }
+
+    /// Checks that [`PointerChaseConfig::stream`] can build the walk, without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MessError::InvalidConfig`] if the array has more than `u32::MAX` cache
+    /// lines (the permutation is shuffled over `u32` line indices).
+    pub fn validate(&self) -> Result<(), MessError> {
+        if self.lines() > u64::from(u32::MAX) {
+            return Err(MessError::InvalidConfig(format!(
+                "pointer-chase: {} lines exceed the chase's u32::MAX line limit",
+                self.lines()
+            )));
+        }
+        Ok(())
     }
 
     /// Builds the probe's op stream: a program over one (possibly partial) lap of the
@@ -42,12 +63,12 @@ impl PointerChaseConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the array has more than `u32::MAX` cache lines.
+    /// Panics if the array has more than `u32::MAX` cache lines; check with
+    /// [`PointerChaseConfig::validate`] first.
     pub fn stream(&self) -> ProgramStream {
-        let lines = (self.array_bytes / CACHE_LINE_BYTES).max(2);
         sattolo_chase(
             CHASE_BASE,
-            lines,
+            self.lines(),
             self.loads,
             self.seed,
             "mess:pointer-chase",
@@ -144,6 +165,31 @@ mod tests {
             v
         };
         assert_eq!(walk(config.stream()), walk(config.stream()));
+    }
+
+    #[test]
+    fn a_cloned_probe_replays_the_fresh_walk() {
+        // A sweep builds the probe once and runs a clone of the untouched cursor at every
+        // point: each clone must drain the same ops as a freshly built stream, and draining
+        // one clone must not move another.
+        let config = PointerChaseConfig {
+            array_bytes: 64 * 1000,
+            loads: 2_500,
+            seed: 3,
+        };
+        let drain = |mut s: ProgramStream| {
+            let mut ops = Vec::new();
+            while let Some(op) = s.next_op() {
+                ops.push(op);
+            }
+            ops
+        };
+        let fresh = drain(config.stream());
+        let probe = config.stream();
+        let (first, second) = (probe.clone(), probe.clone());
+        assert_eq!(drain(first), fresh);
+        assert_eq!(drain(second), fresh, "the other clone still starts at op 0");
+        assert_eq!(drain(probe), fresh);
     }
 
     #[test]

@@ -15,11 +15,15 @@
 //! sweep order** — the curve family and [`Characterization::to_csv`] output are
 //! byte-identical at any worker count. Pass [`mess_exec::ExecConfig::sequential`] to
 //! [`characterize_with`] to force the single-threaded path (it runs the same code inline).
+//!
+//! The pointer-chase probe is sweep-invariant: every point chases the same walk. It is built
+//! once per sweep, before the fan-out, and shared read-only; each point runs its own clone of
+//! the untouched cursor, so the permutation is shuffled once rather than once per point.
 
 use crate::chase::PointerChaseConfig;
 use crate::traffic::TrafficConfig;
 use mess_core::{Curve, CurveFamily, CurvePoint};
-use mess_cpu::{CpuConfig, Engine, OpStream, StopCondition};
+use mess_cpu::{CpuConfig, Engine, OpStream, ProgramStream, StopCondition};
 use mess_exec::ExecConfig;
 use mess_types::{Bandwidth, Latency, MemoryBackend, MessError, RwRatio};
 use serde::{Deserialize, Serialize};
@@ -259,7 +263,18 @@ where
     characterize_with(name, cpu, factory, &spec.config(), exec)
 }
 
+/// The LLC size the probe and the traffic lanes are sized against: the modelled LLC, but
+/// at least 1 MiB so a tiny or disabled cache still gets arrays that miss.
+fn sized_llc_bytes(cpu: &CpuConfig) -> u64 {
+    cpu.llc.capacity_bytes.max(1 << 20)
+}
+
 /// Runs one measurement point: pointer-chase on core 0, traffic lanes on the other cores.
+///
+/// `probe` is the sweep's pointer-chase cursor, built once per sweep (see
+/// [`characterize_with`]) and shared read-only: the point runs its own clone of it, so the
+/// caller's copy stays at its first op and serves every other point. Pass an untouched
+/// [`PointerChaseConfig::stream`] to measure the full walk.
 ///
 /// The point owns its backend for the duration of the run (the parallel sweep gives every
 /// worker a private instance); the bandwidth is computed from the statistics delta of this
@@ -267,17 +282,15 @@ where
 pub fn measure_point<B: MemoryBackend + ?Sized>(
     cpu: &CpuConfig,
     backend: &mut B,
+    probe: &ProgramStream,
     store_mix: f64,
     pause_cycles: u32,
-    chase_loads: u64,
     max_cycles: u64,
 ) -> MeasuredPoint {
-    let llc_bytes = cpu.llc.capacity_bytes.max(1 << 20);
-    let chase = PointerChaseConfig::sized_against_llc(llc_bytes, chase_loads);
-    let traffic = TrafficConfig::new(store_mix, pause_cycles, llc_bytes);
+    let traffic = TrafficConfig::new(store_mix, pause_cycles, sized_llc_bytes(cpu));
 
     let mut streams: Vec<Box<dyn OpStream>> = Vec::with_capacity(cpu.cores as usize);
-    streams.push(Box::new(chase.stream()));
+    streams.push(Box::new(probe.clone()));
     streams.extend(traffic.lanes(cpu.cores.saturating_sub(1)));
 
     let mut engine = Engine::from_boxed(*cpu, streams);
@@ -322,15 +335,21 @@ where
 /// Runs a full characterization sweep of the memory system built by `factory` under the CPU
 /// described by `cpu`, on `exec.resolved_threads()` workers.
 ///
+/// The pointer-chase probe is sweep-invariant, so it is built once here, on the caller's
+/// thread before the fan-out, and shared read-only with every point; each point runs its
+/// own cursor (a clone of the untouched probe) through [`measure_point`].
+///
 /// The output is deterministic in the worker count: points are computed by pure per-point
-/// simulations (fresh backend, fresh engine, fixed seeds) and collected in sweep order, so
-/// the [`Characterization`] — family, points and CSV — is byte-identical whether the sweep
-/// ran on one thread or many.
+/// simulations (fresh backend, fresh engine, fresh probe cursor, fixed seeds) and collected
+/// in sweep order, so the [`Characterization`] — family, points and CSV — is byte-identical
+/// whether the sweep ran on one thread or many.
 ///
 /// # Errors
 ///
-/// Returns an error if the sweep configuration is invalid or the measured points cannot form
-/// a curve family (which cannot happen for a valid sweep).
+/// Returns an error if the sweep configuration is invalid, the probe's array (four times
+/// the LLC) has more cache lines than the walk can index (checked before anything is
+/// allocated), or the measured points cannot form a curve family (which cannot happen for
+/// a valid sweep).
 pub fn characterize_with<B, F>(
     name: impl Into<String>,
     cpu: &CpuConfig,
@@ -343,6 +362,9 @@ where
     F: Fn() -> B + Send + Sync,
 {
     sweep.validate()?;
+    let chase = PointerChaseConfig::sized_against_llc(sized_llc_bytes(cpu), sweep.chase_loads);
+    chase.validate()?;
+    let probe = chase.stream();
     let grid: Vec<(f64, u32)> = sweep
         .store_mixes
         .iter()
@@ -353,9 +375,9 @@ where
         measure_point(
             cpu,
             &mut backend,
+            &probe,
             store_mix,
             pause,
-            sweep.chase_loads,
             sweep.max_cycles_per_point,
         )
     });
@@ -513,6 +535,62 @@ mod tests {
         // And a generous budget clears the flag for the same probe.
         let relaxed = characterize("relaxed", &cpu, backend, &SweepConfig::quick()).unwrap();
         assert!(relaxed.truncated_points().is_empty());
+    }
+
+    #[test]
+    fn one_probe_serves_every_point() {
+        let cpu = small_cpu(4);
+        let sweep = SweepConfig::reduced();
+        let build_probe = || {
+            PointerChaseConfig::sized_against_llc(sized_llc_bytes(&cpu), sweep.chase_loads).stream()
+        };
+        let measure = |probe: &ProgramStream| {
+            let mut backend = Md1QueueModel::new(
+                Latency::from_ns(60.0),
+                Bandwidth::from_gbs(20.0),
+                cpu.frequency,
+            );
+            measure_point(
+                &cpu,
+                &mut backend,
+                probe,
+                1.0,
+                20,
+                sweep.max_cycles_per_point,
+            )
+        };
+        let shared = build_probe();
+        let first = measure(&shared);
+        let second = measure(&shared);
+        let fresh = measure(&build_probe());
+        assert_eq!(
+            first, second,
+            "a point must leave the shared probe untouched"
+        );
+        assert_eq!(first, fresh);
+        assert!(!first.saturated_early);
+    }
+
+    #[test]
+    fn an_oversized_probe_is_an_error_not_a_panic() {
+        // A 128 GiB LLC asks for a 512 GiB probe array: 2^33 lines, past the walk's u32
+        // line indices (and `u64::MAX` must not overflow the 4× sizing). The sweep must
+        // refuse both before building a backend or the walk.
+        for llc_bytes in [1 << 37, u64::MAX] {
+            let mut cpu = small_cpu(2);
+            cpu.llc.capacity_bytes = llc_bytes;
+            let backend = || -> FixedLatencyModel { panic!("no point may run") };
+            let err = characterize_with(
+                "huge",
+                &cpu,
+                backend,
+                &SweepConfig::reduced(),
+                &mess_exec::ExecConfig::sequential(),
+            )
+            .unwrap_err();
+            assert!(matches!(err, MessError::InvalidConfig(_)), "{err}");
+            assert!(err.to_string().contains("u32::MAX"), "{err}");
+        }
     }
 
     #[test]

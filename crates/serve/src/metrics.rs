@@ -17,6 +17,9 @@ pub(crate) struct ServeMetrics {
     pub request_latency: Arc<Histogram>,
     /// `mess_serve_runs_executed_total`: runs that actually executed the engine.
     pub runs_executed: Arc<Counter>,
+    /// `mess_serve_runs_panicked_total`: runs whose engine panicked (reported as
+    /// [`mess_types::MessError::Panicked`]).
+    pub runs_panicked: Arc<Counter>,
     /// `mess_serve_cache_hits_total`: submissions answered straight from the cache.
     pub cache_hits: Arc<Counter>,
     /// `mess_serve_cache_misses_total`: `cache=use` submissions that missed and ran.
@@ -53,6 +56,12 @@ impl ServeMetrics {
                     .counter(
                         "mess_serve_runs_executed_total",
                         "Runs that executed the engine",
+                    )
+                    .expect(expect),
+                runs_panicked: registry
+                    .counter(
+                        "mess_serve_runs_panicked_total",
+                        "Runs whose engine panicked",
                     )
                     .expect(expect),
                 cache_hits: registry

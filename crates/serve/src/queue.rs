@@ -29,6 +29,7 @@ use mess_scenario::{
     SpecDigest,
 };
 use mess_types::MessError;
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::io;
@@ -672,12 +673,10 @@ impl Daemon {
         let outcome = match result {
             Ok(outcome) => outcome,
             Err(payload) => {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "run panicked".to_string());
-                Err(MessError::InvalidConfig(format!("run panicked: {message}")))
+                if let Some(m) = metrics {
+                    m.runs_panicked.inc();
+                }
+                Err(panic_error(payload))
             }
         };
 
@@ -861,6 +860,17 @@ impl Daemon {
     }
 }
 
+/// The error a panicking run reports: [`MessError::Panicked`] with the panic message when
+/// the payload is a string (what `panic!` produces), a placeholder otherwise.
+fn panic_error(payload: Box<dyn Any + Send>) -> MessError {
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string());
+    MessError::Panicked(message)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -896,6 +906,22 @@ mod tests {
         .unwrap();
         let workers = daemon.spawn_workers();
         (daemon, workers, dir)
+    }
+
+    #[test]
+    fn panic_payloads_become_panicked_errors() {
+        assert_eq!(
+            panic_error(Box::new("index out of bounds")),
+            MessError::Panicked("index out of bounds".into())
+        );
+        assert_eq!(
+            panic_error(Box::new(format!("bad row {}", 7))),
+            MessError::Panicked("bad row 7".into())
+        );
+        assert_eq!(
+            panic_error(Box::new(42u32)),
+            MessError::Panicked("non-string panic payload".into())
+        );
     }
 
     #[test]

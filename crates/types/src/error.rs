@@ -21,6 +21,9 @@ pub enum MessError {
     MissingComponent(String),
     /// The run was cancelled (operator request or service shutdown) before it executed.
     Cancelled,
+    /// The run panicked: a bug in a model or the engine, not a mistake in its input. Carries
+    /// the panic message.
+    Panicked(String),
 }
 
 impl fmt::Display for MessError {
@@ -38,6 +41,7 @@ impl fmt::Display for MessError {
             MessError::Parse(msg) => write!(f, "parse error: {msg}"),
             MessError::MissingComponent(msg) => write!(f, "missing component: {msg}"),
             MessError::Cancelled => write!(f, "run cancelled before execution"),
+            MessError::Panicked(msg) => write!(f, "run panicked: {msg}"),
         }
     }
 }
@@ -67,6 +71,7 @@ mod tests {
                 "missing component",
             ),
             (MessError::Cancelled, "cancelled"),
+            (MessError::Panicked("boom".into()), "run panicked: boom"),
         ];
         for (err, needle) in cases {
             let msg = err.to_string();
