@@ -56,6 +56,9 @@ const PAYLOAD_MASK: u64 = (1 << TAG_SHIFT) - 1;
 pub struct PackedOp(u64);
 
 impl PackedOp {
+    /// Exclusive upper bound of a memory operation's byte address (2^62).
+    pub const ADDRESS_LIMIT: u64 = 1 << TAG_SHIFT;
+
     /// Packs `op` into its one-word form.
     ///
     /// # Panics

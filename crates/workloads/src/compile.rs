@@ -12,10 +12,11 @@
 //! This is the only path from a spec to op streams: [`WorkloadSpec::streams`] is
 //! `compile(..)?.into_streams()`, so the sizing rules live in the one `match` below. The
 //! sizing arithmetic is checked, because specs arrive from clients: a working set that
-//! overflows `u64`, a GUPS table whose power-of-two rounding overflows, or a multichase
-//! working set above `u32::MAX` lines is an [`MessError::InvalidConfig`], not a wrapped
-//! or truncated size. The SPEC CPU2006-like suite stays on its generator (its RNG draw
-//! sequence is data-dependent, so there is nothing to hoist) and runs through the default
+//! overflows `u64`, a GUPS table whose power-of-two rounding overflows, an HPCG matrix
+//! that ends past the 62-bit packed-op address range, or a multichase working set above
+//! `u32::MAX` lines is an [`MessError::InvalidConfig`], not a wrapped or truncated size.
+//! The SPEC CPU2006-like suite stays on its generator (its RNG draw sequence is
+//! data-dependent, so there is nothing to hoist) and runs through the default
 //! [`mess_cpu::OpStream::fill_block`], which monomorphizes its `next_op` per stream type.
 //!
 //! The op sequences are pinned by golden digests and by a frozen reference implementation
@@ -25,7 +26,7 @@
 use crate::spec::{WorkloadSpec, MIN_STREAM_BYTES};
 use crate::spec_suite;
 use crate::{GupsConfig, HpcgConfig, LatMemRdConfig, MultichaseConfig, StreamConfig};
-use mess_cpu::{OpStream, VecStream};
+use mess_cpu::{OpStream, PackedOp, VecStream};
 use mess_types::MessError;
 
 /// The result of compiling one [`WorkloadSpec`] for a concrete platform: per-core streams
@@ -43,7 +44,7 @@ impl CompiledWorkload {
 
     /// Number of packed ops materialized at compile time (program bodies; streams that
     /// generate on refill, like GUPS, materialize nothing up front). This is the
-    /// compile-stage cost the per-stage bench reports.
+    /// compile-stage cost messbench reports as `workloads.materialized_ops`.
     pub fn materialized_ops(&self) -> u64 {
         self.materialized_ops
     }
@@ -164,6 +165,16 @@ pub fn compile(
                 cores: cores.max(1),
                 seed: *seed,
             };
+            if config
+                .matrix_end()
+                .is_none_or(|end| end > PackedOp::ADDRESS_LIMIT)
+            {
+                return Err(MessError::InvalidConfig(format!(
+                    "HPCG: {} stripes of {rows_per_core} rows × {nonzeros_per_row} non-zeros \
+                     exceed the 62-bit packed-op address range",
+                    config.cores
+                )));
+            }
             (config.streams(), 0)
         }
         WorkloadSpec::SpecCpu2006 {
@@ -219,6 +230,22 @@ mod tests {
         };
         let message = rejected(spec);
         assert!(message.contains("overflows"), "{message}");
+    }
+
+    #[test]
+    fn an_hpcg_matrix_past_the_packed_op_range_is_rejected() {
+        let hpcg = |rows_per_core| WorkloadSpec::Hpcg {
+            rows_per_core,
+            nonzeros_per_row: 27,
+            vector_llc_multiple: 4,
+            seed: 1,
+        };
+        // The stripe's rows × non-zeros × 12 bytes overflows u64...
+        let message = rejected(hpcg(u64::MAX / 12));
+        assert!(message.contains("62-bit"), "{message}");
+        // ...while two stripes of 2^53 × 324 bytes fit u64 but end past 2^62.
+        let message = rejected(hpcg(1 << 53));
+        assert!(message.contains("62-bit"), "{message}");
     }
 
     #[test]

@@ -153,6 +153,18 @@ pub struct HpcgConfig {
 }
 
 impl HpcgConfig {
+    /// One past the last byte of the last core's matrix stripe, or `None` if that
+    /// overflows `u64`. Each core's stripe holds an 8 B value and a 4 B column index per
+    /// non-zero, and the stripes sit line-aligned one after another from the matrix base.
+    pub(crate) fn matrix_end(&self) -> Option<u64> {
+        self.rows_per_core
+            .checked_mul(self.nonzeros_per_row as u64)?
+            .checked_mul(12)?
+            .checked_next_multiple_of(CACHE_LINE_BYTES)?
+            .checked_mul(self.cores as u64)?
+            .checked_add(HPCG_MATRIX_BASE)
+    }
+
     /// The paper's §VI configuration scaled to the platform: one benchmark copy per core,
     /// matrix stripes streaming from memory, gathers over a vector that exceeds the LLC.
     pub fn sized_against_llc(llc_bytes: u64, cores: u32, rows_per_core: u64) -> Self {
