@@ -139,12 +139,18 @@ impl SweepConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`MessError::InvalidConfig`] when a list is empty, a store mix is outside
+    /// Returns [`MessError::InvalidConfig`] when there are no store mixes, fewer than two
+    /// pause levels (every curve needs at least two points), a store mix is outside
     /// `[0, 1]` or the probe has no loads.
     pub fn validate(&self) -> Result<(), MessError> {
-        if self.store_mixes.is_empty() || self.pause_levels.is_empty() {
+        if self.store_mixes.is_empty() {
             return Err(MessError::InvalidConfig(
                 "sweep lists must not be empty".into(),
+            ));
+        }
+        if self.pause_levels.len() < 2 {
+            return Err(MessError::InvalidConfig(
+                "a sweep needs at least two pause levels: every curve needs two points".into(),
             ));
         }
         if self.store_mixes.iter().any(|m| !(0.0..=1.0).contains(m)) {
@@ -433,6 +439,10 @@ mod tests {
         assert!(bad.validate().is_err());
         let mut bad = SweepConfig::quick();
         bad.chase_loads = 0;
+        assert!(bad.validate().is_err());
+        // Every curve needs two points, so a sweep needs two pause levels.
+        let mut bad = SweepConfig::quick();
+        bad.pause_levels = vec![0];
         assert!(bad.validate().is_err());
         assert!(SweepConfig::full().validate().is_ok());
     }

@@ -10,16 +10,17 @@
 //! timeline, its phases and the summary statistics.
 
 use mess::platforms::PlatformId;
-use mess::scenario::engine::{profile_hpcg, scaled_platform};
-use mess::scenario::Fidelity;
+use mess::scenario::engine::profile_hpcg;
+use mess::scenario::{Fidelity, PlatformRef};
 
 fn main() {
-    let fidelity = if std::env::args().any(|a| a == "--quick") {
-        Fidelity::Quick
+    let id = PlatformId::IntelCascadeLake;
+    let (fidelity, platform) = if std::env::args().any(|a| a == "--quick") {
+        (Fidelity::Quick, PlatformRef::quick(id))
     } else {
-        Fidelity::Full
+        (Fidelity::Full, PlatformRef::full(id))
     };
-    let platform = scaled_platform(&PlatformId::IntelCascadeLake.spec(), fidelity);
+    let platform = platform.resolve();
     println!(
         "profiling HPCG on {} ({} cores)",
         platform.name, platform.cores

@@ -6,7 +6,7 @@ use mess::core::{MessSimulator, MessSimulatorConfig};
 use mess::cpu::{Engine, OpStream, StopCondition};
 use mess::platforms::{build_memory_model, MemoryModelKind, PlatformId};
 use mess::profiler::{BandwidthSample, Profiler};
-use mess::scenario::{builtin_spec, run_scenario_with, Fidelity, ScenarioOptions};
+use mess::scenario::{builtin_spec, run_scenario_with, Fidelity, PlatformRef, ScenarioOptions};
 use mess::types::{Bandwidth, MemoryBackend, RwRatio};
 use mess::workloads::stream::{StreamConfig, StreamKernel};
 
@@ -22,7 +22,7 @@ fn quick_sweep() -> SweepConfig {
 /// A small Skylake-like platform used by the integration tests (full core counts are exercised
 /// by the harness binary and benches).
 fn small_platform() -> mess::platforms::PlatformSpec {
-    mess::scenario::engine::scaled_platform(&PlatformId::IntelSkylake.spec(), Fidelity::Quick)
+    PlatformRef::quick(PlatformId::IntelSkylake).resolve()
 }
 
 #[test]

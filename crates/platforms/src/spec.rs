@@ -10,7 +10,7 @@ use mess_core::synthetic::{SyntheticFamilySpec, WriteImpact};
 use mess_core::CurveFamily;
 use mess_cpu::{CacheConfig, CpuConfig};
 use mess_dram::{DramConfig, DramPreset, DramSystem};
-use mess_types::{Bandwidth, Frequency, Latency};
+use mess_types::{Bandwidth, Frequency, Latency, MessError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -118,8 +118,7 @@ impl Deserialize for PlatformId {
 ///
 /// This is how scenario files name platforms. A bare reference resolves to the paper's full
 /// configuration; the overrides express deliberate deviations — most importantly the
-/// quick-fidelity scaling (fewer simulated cores and channels) that used to live as code in
-/// the harness (`scaled_platform`) and is now plain data in the spec.
+/// quick-fidelity scaling (fewer simulated cores and channels, see [`PlatformRef::quick`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlatformRef {
     /// Which platform to build.
@@ -150,6 +149,24 @@ impl PlatformRef {
             cores: Some(spec.cores.min(8)),
             channels: Some(spec.channels.clamp(1, 4)),
         }
+    }
+
+    /// Validates the overrides without resolving the platform.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MessError::InvalidConfig`] when the core or channel override is zero: a
+    /// platform needs at least one core to run a stream and one channel to map addresses.
+    pub fn validate(&self) -> Result<(), MessError> {
+        for (what, value) in [("cores", self.cores), ("channels", self.channels)] {
+            if value == Some(0) {
+                return Err(MessError::InvalidConfig(format!(
+                    "platform `{}`: {what} must be nonzero",
+                    self.id.key()
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Resolves the reference into a concrete [`PlatformSpec`], applying the overrides.
@@ -663,6 +680,25 @@ mod tests {
         let json = serde_json::to_string(&reference).unwrap();
         let back: PlatformRef = serde_json::from_str(&json).unwrap();
         assert_eq!(back, reference);
+    }
+
+    #[test]
+    fn platform_ref_validate_rejects_zero_overrides() {
+        for id in PlatformId::ALL {
+            assert!(PlatformRef::full(id).validate().is_ok(), "{id}");
+            assert!(PlatformRef::quick(id).validate().is_ok(), "{id}");
+        }
+        let zero_cores = PlatformRef {
+            cores: Some(0),
+            ..PlatformRef::quick(PlatformId::IntelSkylake)
+        };
+        let zero_channels = PlatformRef {
+            channels: Some(0),
+            ..PlatformRef::quick(PlatformId::IntelSkylake)
+        };
+        for bad in [zero_cores, zero_channels] {
+            assert!(matches!(bad.validate(), Err(MessError::InvalidConfig(_))));
+        }
     }
 
     #[test]

@@ -6,9 +6,14 @@
 //! `par_map` item per scenario. Campaign members and parallel legs alike use the
 //! order-preserving `par_map`, so reports are byte-identical at any worker count.
 //!
-//! The free functions in this module (trace capture, trace folding, STREAM reference
-//! bandwidths, the quick-fidelity platform scaling) are the plumbing the scenario kinds
-//! share.
+//! The five curve-measuring kinds (`CurveFamily`, `PlatformTable`, `ModelComparison`,
+//! `MessCurves`, `CxlHosts`) run the Mess benchmark through one leg runner: their curve
+//! sources and model factories resolve before the fan-out, and every leg characterizes,
+//! builds its row and files one [`CurveSet`] artifact the same way.
+//!
+//! The public free functions in this module (stream runs and IPC error, STREAM reference
+//! bandwidths, trace capture and folding, workload profiling, curve-source resolution) are
+//! the plumbing the scenario kinds share.
 
 use crate::progress::{NoProgress, ProgressEvent, ProgressSink};
 use crate::report::{ExperimentReport, Fidelity};
@@ -35,24 +40,6 @@ use mess_workloads::stream::{StreamConfig, StreamKernel};
 // ---------------------------------------------------------------------------
 // Shared helpers
 // ---------------------------------------------------------------------------
-
-/// Shrinks a platform's core count for quick runs so unit tests stay fast while the full runs
-/// keep the paper's configuration.
-///
-/// The same scaling is available declaratively as [`PlatformRef::quick`]; this function
-/// exists for callers that already hold a (possibly modified) [`PlatformSpec`].
-pub fn scaled_platform(platform: &PlatformSpec, fidelity: Fidelity) -> PlatformSpec {
-    match fidelity {
-        Fidelity::Full => platform.clone(),
-        Fidelity::Quick => {
-            let mut p = platform.clone();
-            p.cores = p.cores.min(8);
-            p.cpu = p.cpu_config_with_cores(p.cores);
-            p.channels = p.channels.clamp(1, 4);
-            p
-        }
-    }
-}
 
 /// Runs `streams` on `platform`'s CPU configuration against `backend` and returns the report.
 pub fn run_streams(
@@ -383,50 +370,16 @@ pub fn resolve_factory(
     Ok(factory)
 }
 
-/// A curve source prepared for use inside parallel legs: either resolved once up front
-/// (fallible and platform-independent variants) or re-resolved per platform (the
-/// infallible-by-then variants), so leg closures never have an error path.
-enum CurveInput<'a> {
-    /// Resolve for each leg's platform (validated before the legs run).
-    PerPlatform(&'a CurveSourceSpec, &'a ScenarioOptions),
-    /// One family shared by every leg.
-    Fixed(CurveFamily),
-}
-
-impl CurveInput<'_> {
-    fn for_platform(&self, platform: &PlatformSpec) -> CurveFamily {
-        match self {
-            CurveInput::Fixed(family) => family.clone(),
-            CurveInput::PerPlatform(source, options) => resolve_curves(source, platform, options)
-                .expect("curve sources are validated before the parallel legs"),
-        }
-    }
-}
-
-/// Prepares `source` for per-leg use: platform-independent variants resolve (and can
-/// fail) here, once; platform-dependent variants are pre-flighted so the per-leg
-/// resolution cannot fail.
-fn prepare_curve_input<'a>(
-    source: &'a CurveSourceSpec,
-    default_platform: &PlatformSpec,
-    options: &'a ScenarioOptions,
-) -> Result<CurveInput<'a>, MessError> {
-    if options.curves.is_some() {
-        return Ok(CurveInput::Fixed(resolve_curves(
-            source,
-            default_platform,
-            options,
-        )?));
-    }
-    match source {
-        CurveSourceSpec::PlatformReference => Ok(CurveInput::PerPlatform(source, options)),
-        CurveSourceSpec::Characterized { model, sweep } => {
-            sweep.validate()?;
-            resolve_factory(model, default_platform, options)?;
-            Ok(CurveInput::PerPlatform(source, options))
-        }
-        other => Ok(CurveInput::Fixed(other.family(default_platform)?)),
-    }
+/// [`resolve_factory`] for each of `models` on `platform`, in model order.
+fn resolve_factories(
+    models: &[ModelSpec],
+    platform: &PlatformSpec,
+    options: &ScenarioOptions,
+) -> Result<Vec<ModelFactory>, MessError> {
+    models
+        .iter()
+        .map(|model| resolve_factory(model, platform, options))
+        .collect()
 }
 
 /// One-line human-readable summary of a sweep, for artifact provenance.
@@ -479,8 +432,9 @@ fn artifact(
 /// # Errors
 ///
 /// Returns the spec's validation error, a model/workload/curve resolution error (e.g. an
-/// unreadable `--curves` artifact), without running anything; the simulation itself
-/// cannot fail.
+/// unreadable `--curves` artifact), without running anything. Once running, only a
+/// characterization leg can fail, when its measured points do not form a valid curve
+/// family; the first such error in leg order is returned.
 pub fn run_scenario_with(
     spec: &ScenarioSpec,
     options: &ScenarioOptions,
@@ -712,6 +666,91 @@ pub fn run_campaign_observed(
 // Per-kind execution
 // ---------------------------------------------------------------------------
 
+/// One characterization leg: the Mess benchmark run against one resolved memory model on
+/// one platform.
+struct Leg {
+    /// The leg's progress label.
+    label: String,
+    /// The platform the benchmark runs on.
+    platform: PlatformSpec,
+    /// The model under test, resolved (and proven to build) before the fan-out.
+    factory: ModelFactory,
+    /// The measured family's name, which is part of the artifact bytes.
+    family: &'static str,
+    /// The model label of the leg's artifact provenance.
+    model: &'static str,
+}
+
+impl Leg {
+    /// A leg characterizing a curve-driven Mess simulator on `platform`, fed `curves` as
+    /// resolved for that platform. Returns the leg and its input family.
+    fn mess(
+        platform: &PlatformRef,
+        curves: &CurveSourceSpec,
+        family: &'static str,
+        options: &ScenarioOptions,
+    ) -> Result<(Leg, CurveFamily), MessError> {
+        let platform = platform.resolve();
+        let input = resolve_curves(curves, &platform, options)?;
+        let factory = ModelFactory::with_curves(MemoryModelKind::Mess, &platform, input.clone());
+        factory.build()?;
+        let leg = Leg {
+            label: platform.id.key().to_string(),
+            platform,
+            factory,
+            family,
+            model: "mess",
+        };
+        Ok((leg, input))
+    }
+}
+
+/// Runs every characterization leg and returns each leg's `row` in leg order, filing one
+/// [`CurveSet`] artifact per leg in `sets`.
+///
+/// This is the one place a curve-measuring kind runs the Mess benchmark: each leg
+/// characterizes its model with `sweep` inside [`observed_leg`] and hands the measured
+/// family to `row`. With fewer legs than pool workers the legs run sequentially and each
+/// leg's sweep takes the pool instead (`for_fanout`); nested maps on a pool worker never
+/// fan out, so both schedules produce identical rows.
+fn characterize_legs<R: Send>(
+    spec: &ScenarioSpec,
+    sweep: &SweepSpec,
+    legs: &[Leg],
+    sets: &mut Vec<CurveSet>,
+    sink: &dyn ProgressSink,
+    row: impl Fn(&Leg, &CurveFamily) -> R + Sync,
+) -> Result<Vec<R>, MessError> {
+    let total = legs.len();
+    let results = mess_exec::par_map_with(
+        &ExecConfig::for_fanout(total),
+        legs.iter().collect(),
+        |i, leg: &Leg| {
+            observed_leg(sink, &spec.id, leg.label.clone(), i, total, || {
+                let c = characterize_spec(
+                    leg.family,
+                    &leg.platform.cpu_config(),
+                    || {
+                        leg.factory
+                            .build()
+                            .expect("the factory built before the fan-out")
+                    },
+                    sweep,
+                    &ExecConfig::default(),
+                )?;
+                Ok((row(leg, &c.family), c.family))
+            })
+        },
+    );
+    let mut rows = Vec::with_capacity(total);
+    for (leg, result) in legs.iter().zip(results) {
+        let (r, family) = result?;
+        sets.extend(artifact(&spec.id, &leg.platform, leg.model, sweep, family));
+        rows.push(r);
+    }
+    Ok(rows)
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_curve_family(
     spec: &ScenarioSpec,
@@ -724,38 +763,32 @@ fn run_curve_family(
     sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
     let platform = spec.platform.resolve();
-    let factory = resolve_factory(model, &platform, options)?;
-    let c = observed_leg(sink, &spec.id, model.kind.label().to_string(), 0, 1, || {
-        characterize_spec(
-            platform.name,
-            &platform.cpu_config(),
-            || factory.build().expect("checked above"),
-            sweep,
-            &ExecConfig::default(),
-        )
-    })?;
-    let metrics = FamilyMetrics::compute(&c.family, platform.theoretical_bandwidth());
-    sets.extend(artifact(
-        &spec.id,
-        &platform,
-        model.kind.label(),
-        sweep,
-        c.family.clone(),
-    ));
-
+    let leg = Leg {
+        label: model.kind.label().to_string(),
+        platform: platform.clone(),
+        factory: resolve_factory(model, &platform, options)?,
+        family: platform.name,
+        model: model.kind.label(),
+    };
     let mut report = ExperimentReport::new(
         &spec.id,
         &spec.title,
         &["read_percent", "bandwidth_gbs", "latency_ns"],
     );
-    for (pct, bw, lat) in c.family.to_rows() {
-        report.push_row(vec![
-            pct.to_string(),
-            format!("{bw:.2}"),
-            format!("{lat:.1}"),
-        ]);
+    let measured = characterize_legs(spec, sweep, &[leg], sets, sink, |leg, family| {
+        let metrics = FamilyMetrics::compute(family, leg.platform.theoretical_bandwidth());
+        (family.to_rows(), metrics.table_row())
+    })?;
+    for (rows, metrics) in measured {
+        for (pct, bw, lat) in rows {
+            report.push_row(vec![
+                pct.to_string(),
+                format!("{bw:.2}"),
+                format!("{lat:.1}"),
+            ]);
+        }
+        report.note(metrics);
     }
-    report.note(metrics.table_row());
     if let Some(llc_multiple) = stream_llc_multiple {
         for (kernel, gbs) in stream_bandwidths(&platform, llc_multiple, &ExecConfig::default()) {
             report.note(format!(
@@ -789,14 +822,19 @@ fn run_platform_table(
     sets: &mut Vec<CurveSet>,
     sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
-    // Resolve one factory per platform leg up front (sequentially): File/Characterized
-    // curve sources fail here with an Err instead of panicking a worker leg, nothing is
-    // resolved twice, and the legs receive ready factories. Characterized sources
-    // characterize once per platform here — the same work the legs would otherwise do.
-    let factories: Vec<ModelFactory> = platforms
+    let legs: Vec<Leg> = platforms
         .iter()
-        .map(|leg| resolve_factory(model, &leg.resolve(), options))
-        .collect::<Result<_, _>>()?;
+        .map(|leg| {
+            let platform = leg.resolve();
+            Ok(Leg {
+                label: leg.id.key().to_string(),
+                factory: resolve_factory(model, &platform, options)?,
+                family: platform.name,
+                model: model.kind.label(),
+                platform,
+            })
+        })
+        .collect::<Result<_, MessError>>()?;
     let mut report = ExperimentReport::new(
         &spec.id,
         &spec.title,
@@ -814,108 +852,47 @@ fn run_platform_table(
             "stream_paper",
         ],
     );
-    // One leg per platform; rows come back in platform order. With fewer platforms than
-    // pool workers the legs run sequentially and the parallelism moves into each leg's
-    // sweep instead (for_fanout) — nested calls on a pool worker never fan out, so the two
-    // schedules produce identical rows.
-    let legs: Vec<(PlatformRef, &ModelFactory)> =
-        platforms.iter().copied().zip(factories.iter()).collect();
-    let total = legs.len();
-    let results: Vec<(Vec<String>, CurveFamily)> = mess_exec::par_map_with(
-        &ExecConfig::for_fanout(legs.len()),
-        legs,
-        |i, (leg, factory)| {
-            observed_leg(sink, &spec.id, leg.id.key().to_string(), i, total, || {
-                let platform = leg.resolve();
-                let theoretical = platform.theoretical_bandwidth();
-                let c = characterize_spec(
-                    platform.name,
-                    &platform.cpu_config(),
-                    || factory.build().expect("model construction is valid here"),
-                    sweep,
-                    &ExecConfig::default(),
+    let rows = characterize_legs(spec, sweep, &legs, sets, sink, |leg, family| {
+        let platform = &leg.platform;
+        let theoretical = platform.theoretical_bandwidth();
+        let m = FamilyMetrics::compute(family, theoretical);
+        let streams = stream_bandwidths(platform, stream_llc_multiple, &ExecConfig::default());
+        let stream_low = streams.iter().map(|(_, b)| *b).fold(f64::MAX, f64::min);
+        let stream_high = streams.iter().map(|(_, b)| *b).fold(0.0, f64::max);
+        let r = platform.reference;
+        vec![
+            platform.id.key().to_string(),
+            format!("{:.0}", theoretical.as_gbs()),
+            format!("{:.0}", m.unloaded_latency.as_ns()),
+            r.map(|r| format!("{:.0}", r.unloaded_latency_ns))
+                .unwrap_or_default(),
+            format!("{:.0}", m.saturated_bandwidth_range.low_fraction * 100.0),
+            format!("{:.0}", m.saturated_bandwidth_range.high_fraction * 100.0),
+            r.map(|r| {
+                format!(
+                    "{:.0}-{:.0}",
+                    r.saturated_bw_low_pct, r.saturated_bw_high_pct
                 )
-                .expect("sweep specs are validated before execution");
-                let m = FamilyMetrics::compute(&c.family, theoretical);
-                let streams =
-                    stream_bandwidths(&platform, stream_llc_multiple, &ExecConfig::default());
-                let stream_low = streams.iter().map(|(_, b)| *b).fold(f64::MAX, f64::min);
-                let stream_high = streams.iter().map(|(_, b)| *b).fold(0.0, f64::max);
-                let r = platform.reference;
-                let row = vec![
-                    leg.id.key().to_string(),
-                    format!("{:.0}", theoretical.as_gbs()),
-                    format!("{:.0}", m.unloaded_latency.as_ns()),
-                    r.map(|r| format!("{:.0}", r.unloaded_latency_ns))
-                        .unwrap_or_default(),
-                    format!("{:.0}", m.saturated_bandwidth_range.low_fraction * 100.0),
-                    format!("{:.0}", m.saturated_bandwidth_range.high_fraction * 100.0),
-                    r.map(|r| {
-                        format!(
-                            "{:.0}-{:.0}",
-                            r.saturated_bw_low_pct, r.saturated_bw_high_pct
-                        )
-                    })
-                    .unwrap_or_default(),
-                    format!(
-                        "{:.0}-{:.0}",
-                        m.max_latency_range.low.as_ns(),
-                        m.max_latency_range.high.as_ns()
-                    ),
-                    r.map(|r| format!("{:.0}-{:.0}", r.max_latency_low_ns, r.max_latency_high_ns))
-                        .unwrap_or_default(),
-                    format!(
-                        "{:.0}-{:.0}",
-                        stream_low / theoretical.as_gbs() * 100.0,
-                        stream_high / theoretical.as_gbs() * 100.0
-                    ),
-                    r.map(|r| format!("{:.0}-{:.0}", r.stream_low_pct, r.stream_high_pct))
-                        .unwrap_or_default(),
-                ];
-                (row, c.family)
             })
-        },
-    );
-    for (leg, (row, family)) in platforms.iter().zip(results) {
-        report.push_row(row);
-        sets.extend(artifact(
-            &spec.id,
-            &leg.resolve(),
-            model.kind.label(),
-            sweep,
-            family,
-        ));
-    }
+            .unwrap_or_default(),
+            format!(
+                "{:.0}-{:.0}",
+                m.max_latency_range.low.as_ns(),
+                m.max_latency_range.high.as_ns()
+            ),
+            r.map(|r| format!("{:.0}-{:.0}", r.max_latency_low_ns, r.max_latency_high_ns))
+                .unwrap_or_default(),
+            format!(
+                "{:.0}-{:.0}",
+                stream_low / theoretical.as_gbs() * 100.0,
+                stream_high / theoretical.as_gbs() * 100.0
+            ),
+            r.map(|r| format!("{:.0}-{:.0}", r.stream_low_pct, r.stream_high_pct))
+                .unwrap_or_default(),
+        ]
+    })?;
+    report.push_rows(rows);
     Ok(report)
-}
-
-/// Characterizes one memory model for `platform` and returns its summary row plus the
-/// measured family. The shared factory builds a private model instance *inside* every
-/// sweep-point worker.
-fn model_row(
-    platform: &PlatformSpec,
-    factory: &ModelFactory,
-    sweep: &SweepSpec,
-) -> (Vec<String>, CurveFamily) {
-    let c = characterize_spec(
-        factory.kind().label(),
-        &platform.cpu_config(),
-        || factory.build().expect("model construction is valid here"),
-        sweep,
-        // Runs inline when the per-model legs are parallel (nested pools never fan out);
-        // parallelizes the sweep itself if this row is computed on the caller's thread.
-        &ExecConfig::default(),
-    )
-    .expect("sweep configuration is valid");
-    let m = FamilyMetrics::compute(&c.family, platform.theoretical_bandwidth());
-    let row = vec![
-        factory.kind().label().to_string(),
-        format!("{:.0}", m.unloaded_latency.as_ns()),
-        format!("{:.0}", m.max_latency_range.high.as_ns()),
-        format!("{:.0}", m.saturated_bandwidth_range.high.as_gbs()),
-        format!("{:.0}", m.saturated_bandwidth_range.high_fraction * 100.0),
-    ];
-    (row, c.family)
 }
 
 fn run_model_comparison(
@@ -927,10 +904,16 @@ fn run_model_comparison(
     sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
     let platform = spec.platform.resolve();
-    let factories: Vec<ModelFactory> = models
-        .iter()
-        .map(|model| resolve_factory(model, &platform, options))
-        .collect::<Result<_, _>>()?;
+    let legs: Vec<Leg> = resolve_factories(models, &platform, options)?
+        .into_iter()
+        .map(|factory| Leg {
+            label: factory.kind().label().to_string(),
+            platform: platform.clone(),
+            family: factory.kind().label(),
+            model: factory.kind().label(),
+            factory,
+        })
+        .collect();
     let mut report = ExperimentReport::new(
         &spec.id,
         &spec.title,
@@ -942,27 +925,17 @@ fn run_model_comparison(
             "max_bw_pct_of_theoretical",
         ],
     );
-    // One leg per memory model; row order (reference first, then the paper's model order)
-    // is preserved. With fewer models than pool workers the legs run sequentially and each
-    // leg's characterization sweep takes the pool instead (for_fanout).
-    let legs: Vec<usize> = (0..factories.len()).collect();
-    let total = legs.len();
-    let results = mess_exec::par_map_with(&ExecConfig::for_fanout(legs.len()), legs, |_, i| {
-        let label = factories[i].kind().label().to_string();
-        observed_leg(sink, &spec.id, label, i, total, || {
-            model_row(&platform, &factories[i], sweep)
-        })
-    });
-    for (factory, (row, family)) in factories.iter().zip(results) {
-        report.push_row(row);
-        sets.extend(artifact(
-            &spec.id,
-            &platform,
-            factory.kind().label(),
-            sweep,
-            family,
-        ));
-    }
+    let rows = characterize_legs(spec, sweep, &legs, sets, sink, |leg, family| {
+        let m = FamilyMetrics::compute(family, leg.platform.theoretical_bandwidth());
+        vec![
+            leg.model.to_string(),
+            format!("{:.0}", m.unloaded_latency.as_ns()),
+            format!("{:.0}", m.max_latency_range.high.as_ns()),
+            format!("{:.0}", m.saturated_bandwidth_range.high.as_gbs()),
+            format!("{:.0}", m.saturated_bandwidth_range.high_fraction * 100.0),
+        ]
+    })?;
+    report.push_rows(rows);
     report.note(format!(
         "reference platform: {} ({:.0} GB/s theoretical); the detailed-dram row plays the role \
          of the actual hardware",
@@ -983,10 +956,7 @@ fn run_trace_replay(
     sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
     let platform = spec.platform.resolve();
-    let factories: Vec<ModelFactory> = models
-        .iter()
-        .map(|model| resolve_factory(model, &platform, options))
-        .collect::<Result<_, _>>()?;
+    let factories = resolve_factories(models, &platform, options)?;
     let trace = capture_trace(&platform, trace_pause, trace_ops);
     let mut report = ExperimentReport::new(
         &spec.id,
@@ -1057,10 +1027,7 @@ fn run_row_buffer(
     sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
     let platform = spec.platform.resolve();
-    let factories: Vec<ModelFactory> = models
-        .iter()
-        .map(|model| resolve_factory(model, &platform, options))
-        .collect::<Result<_, _>>()?;
+    let factories = resolve_factories(models, &platform, options)?;
     let mut report = ExperimentReport::new(
         &spec.id,
         &spec.title,
@@ -1113,7 +1080,6 @@ fn run_row_buffer(
     Ok(report)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_mess_curves(
     spec: &ScenarioSpec,
     platforms: &[PlatformRef],
@@ -1123,11 +1089,15 @@ fn run_mess_curves(
     sets: &mut Vec<CurveSet>,
     sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
-    // The simulator's input curves: resolved once here for file/manufacturer sources (so
-    // errors surface as Err), per platform inside the legs for the platform-dependent
-    // sources (the reference family, or a fresh characterization of the leg's own
-    // backend — the paper's self-characterization loop).
-    let input_source = prepare_curve_input(curves, &spec.platform.resolve(), options)?;
+    // The simulator's input curves resolve per platform: the reference family, a loaded
+    // artifact, or a fresh characterization of the leg's own backend (the paper's
+    // self-characterization loop).
+    let (legs, inputs): (Vec<Leg>, Vec<CurveFamily>) = platforms
+        .iter()
+        .map(|leg| Leg::mess(leg, curves, "mess", options))
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .unzip();
     let mut report = ExperimentReport::new(
         &spec.id,
         &spec.title,
@@ -1140,55 +1110,23 @@ fn run_mess_curves(
             "max_bw_error_pct",
         ],
     );
-    // One leg per platform; each leg characterizes its own private Mess simulator, built
-    // inside the worker from the resolved input curves. With fewer platforms than pool
-    // workers the legs run sequentially and each sweep takes the pool (for_fanout).
-    let legs = platforms.to_vec();
-    let total = legs.len();
-    let results: Vec<(Vec<String>, CurveFamily)> = mess_exec::par_map_with(
-        &ExecConfig::for_fanout(legs.len()),
-        legs.clone(),
-        |i, leg| {
-            observed_leg(sink, &spec.id, leg.id.key().to_string(), i, total, || {
-                let platform = leg.resolve();
-                let input = input_source.for_platform(&platform);
-                let factory =
-                    ModelFactory::with_curves(MemoryModelKind::Mess, &platform, input.clone());
-                let c = characterize_spec(
-                    "mess",
-                    &platform.cpu_config(),
-                    || factory.build().expect("resolved curve families are valid"),
-                    sweep,
-                    // Inline under a parallel platform fan-out; parallel across sweep points
-                    // when there is only one platform leg.
-                    &ExecConfig::default(),
-                )
-                .expect("sweep configuration is valid");
-                let simulated = FamilyMetrics::compute(&c.family, platform.theoretical_bandwidth());
-                let input_metrics =
-                    FamilyMetrics::compute(&input, platform.theoretical_bandwidth());
-                let bw_err = ipc_error_percent(
-                    simulated.saturated_bandwidth_range.high.as_gbs(),
-                    input_metrics.saturated_bandwidth_range.high.as_gbs(),
-                );
-                let row = vec![
-                    leg.id.key().to_string(),
-                    format!("{:.0}", input_metrics.unloaded_latency.as_ns()),
-                    format!("{:.0}", simulated.unloaded_latency.as_ns()),
-                    format!(
-                        "{:.0}",
-                        input_metrics.saturated_bandwidth_range.high.as_gbs()
-                    ),
-                    format!("{:.0}", simulated.saturated_bandwidth_range.high.as_gbs()),
-                    format!("{bw_err:.1}"),
-                ];
-                (row, c.family)
-            })
-        },
-    );
-    for (leg, (row, family)) in legs.iter().zip(results) {
-        report.push_row(row);
-        sets.extend(artifact(&spec.id, &leg.resolve(), "mess", sweep, family));
+    let simulated = characterize_legs(spec, sweep, &legs, sets, sink, |leg, family| {
+        FamilyMetrics::compute(family, leg.platform.theoretical_bandwidth())
+    })?;
+    for ((leg, input), simulated) in legs.iter().zip(&inputs).zip(simulated) {
+        let input = FamilyMetrics::compute(input, leg.platform.theoretical_bandwidth());
+        let bw_err = ipc_error_percent(
+            simulated.saturated_bandwidth_range.high.as_gbs(),
+            input.saturated_bandwidth_range.high.as_gbs(),
+        );
+        report.push_row(vec![
+            leg.platform.id.key().to_string(),
+            format!("{:.0}", input.unloaded_latency.as_ns()),
+            format!("{:.0}", simulated.unloaded_latency.as_ns()),
+            format!("{:.0}", input.saturated_bandwidth_range.high.as_gbs()),
+            format!("{:.0}", simulated.saturated_bandwidth_range.high.as_gbs()),
+            format!("{bw_err:.1}"),
+        ]);
     }
     Ok(report)
 }
@@ -1202,10 +1140,7 @@ fn run_ipc_error(
     sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
     let platform = spec.platform.resolve();
-    let factories: Vec<ModelFactory> = models
-        .iter()
-        .map(|model| resolve_factory(model, &platform, options))
-        .collect::<Result<_, _>>()?;
+    let factories = resolve_factories(models, &platform, options)?;
 
     let mut headers: Vec<String> = vec!["memory_model".to_string()];
     headers.extend(workloads.iter().map(|w| w.label()));
@@ -1283,9 +1218,14 @@ fn run_cxl_hosts(
     sets: &mut Vec<CurveSet>,
     sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
-    let device_source = prepare_curve_input(curves, &spec.platform.resolve(), options)?;
-    let manufacturer = device_source.for_platform(&spec.platform.resolve());
-    let reference = FamilyMetrics::compute(&manufacturer, Bandwidth::from_gbs(device_peak_gbs));
+    let device_peak = Bandwidth::from_gbs(device_peak_gbs);
+    let manufacturer = resolve_curves(curves, &spec.platform.resolve(), options)?;
+    let reference = FamilyMetrics::compute(&manufacturer, device_peak);
+    // One leg per simulated host, each characterizing a curve-driven Mess simulator.
+    let legs: Vec<Leg> = hosts
+        .iter()
+        .map(|host| Ok(Leg::mess(host, curves, "cxl", options)?.0))
+        .collect::<Result<_, MessError>>()?;
 
     let mut report = ExperimentReport::new(
         &spec.id,
@@ -1306,47 +1246,16 @@ fn run_cxl_hosts(
             reference.saturated_bandwidth_range.high_fraction * 100.0
         ),
     ]);
-    // One leg per simulated host, each characterizing a private curve-driven Mess
-    // simulator. With fewer hosts than pool workers the legs run sequentially and each
-    // sweep takes the pool instead (for_fanout).
-    let legs = hosts.to_vec();
-    let total = legs.len();
-    let results: Vec<(Vec<String>, CurveFamily)> = mess_exec::par_map_with(
-        &ExecConfig::for_fanout(legs.len()),
-        legs.clone(),
-        |i, leg| {
-            observed_leg(sink, &spec.id, leg.id.key().to_string(), i, total, || {
-                let platform = leg.resolve();
-                let factory = ModelFactory::with_curves(
-                    MemoryModelKind::Mess,
-                    &platform,
-                    device_source.for_platform(&platform),
-                );
-                let c = characterize_spec(
-                    "cxl",
-                    &platform.cpu_config(),
-                    || factory.build().expect("manufacturer curves are valid"),
-                    sweep,
-                    // Inline under the parallel host fan-out; parallel across sweep points if
-                    // the host list ever degenerates to one entry.
-                    &ExecConfig::default(),
-                )
-                .expect("sweep configuration is valid");
-                let m = FamilyMetrics::compute(&c.family, Bandwidth::from_gbs(device_peak_gbs));
-                let row = vec![
-                    leg.id.key().to_string(),
-                    format!("{:.0}", m.unloaded_latency.as_ns()),
-                    format!("{:.1}", m.saturated_bandwidth_range.high.as_gbs()),
-                    format!("{:.0}", m.saturated_bandwidth_range.high_fraction * 100.0),
-                ];
-                (row, c.family)
-            })
-        },
-    );
-    for (leg, (row, family)) in legs.iter().zip(results) {
-        report.push_row(row);
-        sets.extend(artifact(&spec.id, &leg.resolve(), "mess", sweep, family));
-    }
+    let rows = characterize_legs(spec, sweep, &legs, sets, sink, |leg, family| {
+        let m = FamilyMetrics::compute(family, device_peak);
+        vec![
+            leg.platform.id.key().to_string(),
+            format!("{:.0}", m.unloaded_latency.as_ns()),
+            format!("{:.1}", m.saturated_bandwidth_range.high.as_gbs()),
+            format!("{:.0}", m.saturated_bandwidth_range.high_fraction * 100.0),
+        ]
+    })?;
+    report.push_rows(rows);
     Ok(report)
 }
 
@@ -1567,25 +1476,6 @@ mod tests {
     }
 
     #[test]
-    fn scaled_platform_matches_the_quick_platform_ref() {
-        for id in PlatformId::ALL {
-            let via_fn = scaled_platform(&id.spec(), Fidelity::Quick);
-            let via_ref = PlatformRef::quick(id).resolve();
-            assert_eq!(via_fn.cores, via_ref.cores, "{id}");
-            assert_eq!(via_fn.channels, via_ref.channels, "{id}");
-            assert_eq!(via_fn.cpu.cores, via_ref.cpu.cores, "{id}");
-        }
-        // And the function keeps honouring pre-modified specs.
-        let mut zero = PlatformId::IntelSkylake.spec();
-        zero.channels = 0;
-        assert_eq!(scaled_platform(&zero, Fidelity::Quick).channels, 1);
-        assert_eq!(
-            scaled_platform(&PlatformId::AmdZen2.spec(), Fidelity::Full).cores,
-            64
-        );
-    }
-
-    #[test]
     fn run_scenario_rejects_invalid_specs_before_running() {
         let spec = ScenarioSpec {
             id: "bad".into(),
@@ -1599,6 +1489,49 @@ mod tests {
             notes: vec![],
         };
         assert!(run_scenario_with(&spec, &ScenarioOptions::default()).is_err());
+    }
+
+    #[test]
+    fn zero_core_or_channel_overrides_fail_validation_instead_of_panicking() {
+        let skylake = PlatformRef::quick(PlatformId::IntelSkylake);
+        let zero_cores = PlatformRef {
+            cores: Some(0),
+            ..skylake
+        };
+        let zero_channels = PlatformRef {
+            channels: Some(0),
+            ..skylake
+        };
+        for bad in [zero_cores, zero_channels] {
+            let mut fig2 = crate::builtin_spec("fig2", Fidelity::Quick).unwrap();
+            fig2.platform = bad;
+            let mut fig10 = crate::builtin_spec("fig10", Fidelity::Quick).unwrap();
+            if let ScenarioKind::MessCurves { platforms, .. } = &mut fig10.kind {
+                platforms[0] = bad;
+            }
+            let mut fig14 = crate::builtin_spec("fig14", Fidelity::Quick).unwrap();
+            if let ScenarioKind::CxlHosts { hosts, .. } = &mut fig14.kind {
+                hosts[1] = bad;
+            }
+            for spec in [fig2, fig10, fig14] {
+                let result = run_scenario_with(&spec, &ScenarioOptions::default());
+                let invalid = matches!(result, Err(MessError::InvalidConfig(_)));
+                assert!(invalid, "{}: {result:?}", spec.id);
+            }
+        }
+    }
+
+    #[test]
+    fn a_sweep_with_one_pause_level_is_rejected_before_running() {
+        let mut spec = crate::builtin_spec("fig10", Fidelity::Quick).unwrap();
+        if let ScenarioKind::MessCurves { sweep, .. } = &mut spec.kind {
+            sweep.pause_levels = Some(vec![0]);
+        }
+        let result = run_scenario_with(&spec, &ScenarioOptions::default());
+        assert!(
+            matches!(result, Err(MessError::InvalidConfig(_))),
+            "{result:?}"
+        );
     }
 
     #[test]
@@ -1926,7 +1859,7 @@ mod tests {
     #[test]
     fn skylake_characterization_produces_rising_write_sensitive_curves() {
         use mess_bench::sweep::{characterize_with, SweepConfig};
-        let platform = scaled_platform(&PlatformId::IntelSkylake.spec(), Fidelity::Quick);
+        let platform = PlatformRef::quick(PlatformId::IntelSkylake).resolve();
         // The same sweep the fig2 builtin scenario uses at quick fidelity.
         let sweep = SweepConfig {
             store_mixes: vec![0.0, 1.0],
@@ -1984,7 +1917,7 @@ mod tests {
 
     #[test]
     fn hpcg_profile_is_memory_intensive_on_a_small_platform() {
-        let platform = scaled_platform(&PlatformId::IntelCascadeLake.spec(), Fidelity::Quick);
+        let platform = PlatformRef::quick(PlatformId::IntelCascadeLake).resolve();
         let timeline = profile_hpcg(&platform, Fidelity::Quick);
         assert!(!timeline.is_empty());
         assert!(timeline.peak_bandwidth().as_gbs() > 1.0);

@@ -54,7 +54,7 @@ pub use mess_platforms::{CurveSourceSpec, ModelSpec, PlatformRef};
 pub use mess_workloads::spec::WorkloadSpec;
 
 // The paper's per-figure claims, checked on the quick builtin reports with one test module
-// per paper section (`runner` checks the quick-fidelity plumbing those reports run on).
+// per paper section.
 #[cfg(test)]
 mod characterization;
 #[cfg(test)]
@@ -63,8 +63,6 @@ mod cxl;
 mod mess_sim;
 #[cfg(test)]
 mod profiling;
-#[cfg(test)]
-mod runner;
 #[cfg(test)]
 mod simulators;
 

@@ -180,8 +180,8 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Validates the spec without running it: every workload, model, sweep and list must
-    /// resolve.
+    /// Validates the spec without running it: every platform, workload, model, sweep and
+    /// list must resolve.
     ///
     /// # Errors
     ///
@@ -240,6 +240,13 @@ impl ScenarioSpec {
                 .try_for_each(|m| m.validate())
                 .map_err(|e| MessError::InvalidConfig(format!("scenario `{}`: {e}", self.id)))
         };
+        // Every platform the scenario resolves: the spec's own and each leg's.
+        let platform_refs = |refs: &[PlatformRef]| {
+            refs.iter()
+                .try_for_each(PlatformRef::validate)
+                .map_err(|e| MessError::InvalidConfig(format!("scenario `{}`: {e}", self.id)))
+        };
+        platform_refs(std::slice::from_ref(&self.platform))?;
         match &self.kind {
             ScenarioKind::CurveFamily { model, sweep, .. } => {
                 model_specs(std::slice::from_ref(model))?;
@@ -252,6 +259,7 @@ impl ScenarioSpec {
                 ..
             } => {
                 nonempty("platforms", platforms.len())?;
+                platform_refs(platforms)?;
                 model_specs(std::slice::from_ref(model))?;
                 sweep.validate()
             }
@@ -292,6 +300,7 @@ impl ScenarioSpec {
                 sweep,
             } => {
                 nonempty("platforms", platforms.len())?;
+                platform_refs(platforms)?;
                 curve_source(curves)?;
                 sweep.validate()
             }
@@ -313,6 +322,7 @@ impl ScenarioSpec {
                 sweep,
             } => {
                 nonempty("hosts", hosts.len())?;
+                platform_refs(hosts)?;
                 curve_source(curves)?;
                 peak(*device_peak_gbs)?;
                 sweep.validate()
