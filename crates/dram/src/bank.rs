@@ -3,9 +3,11 @@
 //! Every bank tracks its open row and the earliest cycles at which the next column access,
 //! precharge and activate commands may be issued, enforcing tRCD, tRP, tRAS and tWR. The
 //! state of all banks of one channel lives in [`BankArray`], a structure-of-arrays keyed by
-//! the flat `(rank, bank)` index: the FR-FCFS scheduler scans every queued request against
-//! its bank on every issue attempt, and four dense `Vec<u64>` columns keep that scan in a
-//! handful of cache lines instead of striding over an array of structs.
+//! the flat `(rank, bank)` index, which the controller resolves once per request at enqueue:
+//! the FR-FCFS scheduler evaluates queued requests against their banks once per issued
+//! command (plus each new arrival against the cached winner), and four dense `Vec<u64>`
+//! columns keep that scan in a handful of cache lines instead of striding over an array of
+//! structs.
 
 use crate::timing::TimingCycles;
 use serde::{Deserialize, Serialize};

@@ -19,6 +19,36 @@
 //! retains the cycle-by-cycle walk for validation. Both produce bit-identical schedules —
 //! the equivalence is enforced by the `event_equivalence` integration test and the shared
 //! conformance suite.
+//!
+//! ## Winner cache
+//!
+//! A scan whose winner is not ready yet caches that winner: which queue was served, the
+//! winner's queue index and the queue length the scan covered. The next scan of the same
+//! queue re-evaluates only the cached winner and the entries enqueued since, with the same
+//! comparator as a full scan (row hit, then column cycle, then arrival, with the earlier
+//! queue index winning ties), so an arrival is compared against one candidate instead of
+//! the whole queue. The result is the one a full scan would return:
+//!
+//! - While no command issues and no refresh fires, the bank, bus, activate-window and
+//!   refresh state is frozen. Each candidate's row outcome, arrival and queue index are then
+//!   fixed (enqueue only appends), and its column cycle is `max(G_i, now + k_i)`: `G_i` is a
+//!   maximum of frozen deadlines and `k_i` the fixed offset of its first command (0 for a
+//!   hit, tRCD for an empty bank, tRP + tRCD for a miss). That value never decreases in
+//!   `now`, so no old candidate's key can improve as the clock advances.
+//! - The winner's own column cycle equals `G_w` until its start cycle `G_w - k_w`, so its key
+//!   is unchanged at any `now` up to that start. The event clock never passes that start
+//!   without scanning there (it is the next stop `tick` reports), and that scan issues the
+//!   winner unless a newer entry overtook it, which is then cached instead. So at every scan
+//!   the cached winner still beats every entry its scan covered, and only newer entries can
+//!   overtake it.
+//!
+//! The cache is dropped whenever that frozen-state premise breaks: on every `issue` (bank,
+//! bus, activate-window and queue indices change), when `maybe_refresh` fires a refresh
+//! (rows close, the channel is blocked), and whenever `pick_source` serves the other queue
+//! (data latency and write-to-read turnaround differ). A cached length past the current
+//! queue also forces a full scan. Hence a full scan runs once per issued command (plus one
+//! after each refresh or queue switch), not once per enqueue. The reference walk never reads
+//! the cache, which keeps `event_equivalence` an independent oracle for it.
 
 use crate::address::DramCoord;
 use crate::bank::{BankArray, RowOutcome};
@@ -27,13 +57,21 @@ use mess_types::{AccessKind, Completion, Cycle, Request, RowBufferStats};
 use std::collections::{BinaryHeap, VecDeque};
 
 /// A request waiting in a controller queue.
+///
+/// Holds only what the scheduler reads, with the flat bank index resolved once at enqueue:
+/// 64 bytes, one cache line per entry.
 #[derive(Debug, Clone, Copy)]
 struct QueuedRequest {
     request: Request,
-    coord: DramCoord,
+    /// Row within the bank.
+    row: u64,
     arrival: u64,
     /// System-level acceptance sequence, echoed in the completion for drain-order ties.
     seq: u64,
+    /// Flat `(rank, bank)` index into the channel's [`BankArray`].
+    bank: u32,
+    /// Slot of the request's rank in the activate-window rings.
+    rank: u32,
 }
 
 /// Configuration of one channel controller.
@@ -105,6 +143,50 @@ impl Ord for PendingCompletion {
 /// Sentinel for "no command can issue while the queues stay as they are".
 const NO_ISSUE: u64 = u64::MAX;
 
+/// One FR-FCFS candidate evaluated at the scan cycle.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    idx: usize,
+    column: u64,
+    outcome: RowOutcome,
+    arrival: u64,
+}
+
+impl Candidate {
+    /// `true` if `self` wins over `best`, the winner among the lower queue indices.
+    fn beats(&self, best: &Candidate, fr_fcfs: bool) -> bool {
+        if !fr_fcfs {
+            return self.arrival < best.arrival;
+        }
+        let hit = self.outcome == RowOutcome::Hit;
+        let best_hit = best.outcome == RowOutcome::Hit;
+        (hit && !best_hit)
+            || (hit == best_hit && self.column < best.column)
+            || (hit == best_hit && self.column == best.column && self.arrival < best.arrival)
+    }
+}
+
+/// The last scan's not-yet-ready winner (module docs, "Winner cache").
+#[derive(Debug, Clone, Copy)]
+struct CachedWinner {
+    /// Which queue the scan served.
+    from_writes: bool,
+    /// Queue index of the winner.
+    idx: usize,
+    /// Queue length the scan covered; entries at and past it arrived since.
+    scanned: usize,
+}
+
+/// The per-scan part of every candidate's column cycle, computed once per scan.
+#[derive(Debug, Clone, Copy)]
+struct ScanFloors {
+    /// Earliest activate on any rank: the scan cycle, or the end of a refresh.
+    activate: u64,
+    /// Earliest column command of the served kind: refresh blocking, the data bus (shifted
+    /// back by the data latency) and the write-to-read turnaround.
+    column: u64,
+}
+
 /// One channel's memory controller.
 #[derive(Debug)]
 pub struct ChannelController {
@@ -128,6 +210,9 @@ pub struct ChannelController {
     act_times: Vec<u64>,
     act_head: Vec<u8>,
     act_len: Vec<u8>,
+    /// Per rank, the earliest activate the tRRD/tFAW window allows, updated on every
+    /// activate so a scan reads it instead of walking the ring.
+    act_floor: Vec<u64>,
     /// Kind of the last scheduled data burst, for write-to-read turnaround.
     last_burst: Option<AccessKind>,
     /// Write-drain mode flag.
@@ -141,9 +226,13 @@ pub struct ChannelController {
     /// served queue was empty). Exact while `queues_dirty` is false; `next_event` reads it
     /// instead of re-running the FR-FCFS scan.
     cached_next_issue: u64,
-    /// Set by `enqueue`: the cached bound may be too late for the new arrivals, so
-    /// `next_event` degrades to `now + 1` until the next `tick` recomputes the schedule.
+    /// Set by `enqueue`: an arrival may start before `cached_next_issue`, so `next_event`
+    /// degrades to `now + 1` and the next `tick` scans once more (against the cached
+    /// winner only) before the dead-tick fast path may skip again.
     queues_dirty: bool,
+    /// The last scan's not-yet-ready winner, `None` once an issue, a refresh or a queue
+    /// switch may have changed the ranking (module docs, "Winner cache").
+    winner: Option<CachedWinner>,
     /// Row-buffer statistics.
     row_stats: RowBufferStats,
 }
@@ -168,12 +257,14 @@ impl ChannelController {
             act_times: vec![0; ranks * 4],
             act_head: vec![0; ranks],
             act_len: vec![0; ranks],
+            act_floor: vec![0; ranks],
             last_burst: None,
             draining_writes: false,
             completed: BinaryHeap::new(),
             next_unprocessed: 0,
             cached_next_issue: NO_ISSUE,
             queues_dirty: false,
+            winner: None,
             row_stats: RowBufferStats::default(),
         }
     }
@@ -192,11 +283,15 @@ impl ChannelController {
     /// [`ChannelCompletion`] so the system can drain same-cycle completions in acceptance
     /// order.
     pub fn enqueue(&mut self, request: Request, coord: DramCoord, now: u64, seq: u64) {
+        let bank = coord.rank.min(self.ranks() - 1) * self.banks_per_rank
+            + coord.bank % self.banks_per_rank;
         let q = QueuedRequest {
             request,
-            coord,
+            row: coord.row,
             arrival: now,
             seq,
+            bank,
+            rank: coord.rank % self.act_len.len() as u32,
         };
         match request.kind {
             AccessKind::Read => self.read_queue.push_back(q),
@@ -255,7 +350,7 @@ impl ChannelController {
             // The next cycle at which the schedule can differ from "nothing happens": the
             // exact next command issue, or a refresh deadline (which re-classifies every
             // queued request against closed rows and re-floors the whole channel).
-            let mut stop = self.issue_ready_at(t);
+            let mut stop = self.issue_ready_at(t, true);
             if self.timing.rfc != 0 {
                 stop = stop.min(self.next_refresh);
             }
@@ -274,18 +369,21 @@ impl ChannelController {
     ///
     /// This exists for validation only — the `event_equivalence` test drives it against
     /// [`ChannelController::tick`] on random traffic and asserts bit-identical completions.
-    /// It is orders of magnitude slower on low-occupancy traffic; never use it outside
-    /// tests or debugging sessions.
+    /// Every scan here is a full FR-FCFS scan that neither reads nor fills the winner
+    /// cache, so the test checks the cache against an independent schedule. It is orders
+    /// of magnitude slower on low-occupancy traffic; never use it outside tests or
+    /// debugging sessions.
     pub fn tick_reference(&mut self, now: u64) {
         while self.next_unprocessed <= now {
             let t = self.next_unprocessed;
             self.maybe_refresh(t);
-            self.issue_ready_at(t);
+            self.issue_ready_at(t, false);
             self.next_unprocessed = t + 1;
         }
-        // The reference walk does not maintain the next-issue cache; make `next_event`
-        // fall back to its safe `now + 1` bound.
+        // The reference walk maintains neither the next-issue bound nor the winner cache;
+        // make `next_event` fall back to its safe `now + 1` bound and `tick` rescan.
         self.queues_dirty = true;
+        self.winner = None;
     }
 
     /// Refresh: every tREFI the channel is blocked for tRFC and all rows are closed.
@@ -298,25 +396,22 @@ impl ChannelController {
             self.banks.block_all_until(end);
             self.blocked_until = self.blocked_until.max(end);
             self.next_refresh += self.timing.refi;
+            self.winner = None;
         }
     }
 
     /// Runs the scheduler at cycle `now`: issues every command whose first DRAM command is
     /// ready at or before `now`, and returns the exact cycle the next command will issue if
     /// the queues stay unchanged ([`NO_ISSUE`] when the served queue is empty).
-    fn issue_ready_at(&mut self, now: u64) -> u64 {
+    ///
+    /// With `use_cache` the scan starts from the cached winner and caches its own
+    /// not-yet-ready winner; without it every scan is a full one and the cache is untouched.
+    fn issue_ready_at(&mut self, now: u64, use_cache: bool) -> u64 {
         loop {
             self.update_drain_mode();
             let from_writes = self.pick_source();
-            let queue_len = match from_writes {
-                true => self.write_queue.len(),
-                false => self.read_queue.len(),
-            };
-            if queue_len == 0 {
-                return NO_ISSUE;
-            }
-            let Some((idx, column_cycle, start_cycle, outcome)) = self.select(now, from_writes)
-            else {
+            let cached = if use_cache { self.winner } else { None };
+            let Some((best, start_cycle)) = self.select(now, from_writes, cached) else {
                 return NO_ISSUE;
             };
             // The request is committed once its *first* DRAM command (precharge or activate
@@ -326,9 +421,16 @@ impl ChannelController {
                 // The winner's readiness is a maximum of absolute deadlines, and no other
                 // candidate can overtake it while the queues are frozen, so `start_cycle`
                 // is the exact next issue cycle.
+                if use_cache {
+                    self.winner = Some(CachedWinner {
+                        from_writes,
+                        idx: best.idx,
+                        scanned: self.queue(from_writes).len(),
+                    });
+                }
                 return start_cycle;
             }
-            self.issue(idx, column_cycle, outcome, from_writes);
+            self.issue(best.idx, best.column, best.outcome, from_writes);
         }
     }
 
@@ -355,77 +457,93 @@ impl ChannelController {
         }
     }
 
+    /// The write queue if `from_writes`, else the read queue.
+    fn queue(&self, from_writes: bool) -> &VecDeque<QueuedRequest> {
+        if from_writes {
+            &self.write_queue
+        } else {
+            &self.read_queue
+        }
+    }
+
     /// Selects the next request from the chosen queue following FR-FCFS: among the requests
-    /// that can start earliest, prefer row hits, then the oldest. Returns the queue index, the
-    /// column-command cycle, the cycle of the first command in the sequence and the row
-    /// outcome.
+    /// that can start earliest, prefer row hits, then the oldest. Returns the winner and the
+    /// cycle of the first command in its sequence.
+    ///
+    /// A valid `cached` winner of this queue seeds the scan, which then evaluates only the
+    /// entries enqueued after it was cached (module docs, "Winner cache").
     ///
     /// For every candidate the computed start cycle is `max(now, E)` where `E` is a maximum
     /// of deadlines that do not depend on `now`; this is what makes the returned start cycle
     /// of a not-yet-ready winner the *exact* next issue cycle (module docs).
-    fn select(&self, now: u64, from_writes: bool) -> Option<(usize, u64, u64, RowOutcome)> {
-        let queue = if from_writes {
-            &self.write_queue
+    fn select(
+        &self,
+        now: u64,
+        from_writes: bool,
+        cached: Option<CachedWinner>,
+    ) -> Option<(Candidate, u64)> {
+        let queue = self.queue(from_writes);
+        // FCFS only ever considers the head of the queue.
+        let end = if self.config.fr_fcfs {
+            queue.len()
         } else {
-            &self.read_queue
+            queue.len().min(1)
         };
-        let mut best: Option<(usize, u64, RowOutcome, u64)> = None;
-        for (i, q) in queue.iter().enumerate() {
-            let bank = self.bank_index(&q.coord);
-            let outcome = self.banks.classify(bank, q.coord.row);
-            let not_before = self.activate_floor(q.coord.rank, now);
-            let mut column =
-                self.banks
-                    .earliest_column(bank, q.coord.row, not_before, &self.timing);
-            column = column.max(self.blocked_until).max(q.arrival);
-            // The data burst must find the bus free; shift the column command if needed.
-            let data_latency = self.timing.data_latency(from_writes);
-            let data_start = (column + data_latency).max(self.bus_free);
-            let mut column = data_start - data_latency;
-            // Write-to-read and read-to-write turnaround penalties.
-            if let Some(last) = self.last_burst {
-                let switching =
-                    (last == AccessKind::Write) != from_writes && last == AccessKind::Write;
-                if switching {
-                    column = column.max(self.bus_free + self.timing.wtr);
-                }
-            }
-            let key_hit = matches!(outcome, RowOutcome::Hit);
-            let better = match best {
-                None => true,
-                Some((_, best_col, best_outcome, best_age)) => {
-                    if self.config.fr_fcfs {
-                        let best_hit = matches!(best_outcome, RowOutcome::Hit);
-                        (key_hit && !best_hit)
-                            || (key_hit == best_hit && column < best_col)
-                            || (key_hit == best_hit && column == best_col && q.arrival < best_age)
-                    } else {
-                        q.arrival < best_age
-                    }
-                }
-            };
-            if better {
-                best = Some((i, column, outcome, q.arrival));
-            }
-            // FCFS only ever considers the head of the queue.
-            if !self.config.fr_fcfs {
-                break;
+        let floors = self.scan_floors(now, from_writes);
+        // `idx < scanned` holds by construction, so the length check keeps `idx` in range.
+        let cached = cached.filter(|c| c.from_writes == from_writes && c.scanned <= queue.len());
+        let (mut best, first_new) = match cached {
+            Some(c) => (Some(self.evaluate(c.idx, &queue[c.idx], floors)), c.scanned),
+            None => (None, 0),
+        };
+        for (i, q) in queue.range(first_new.min(end)..end).enumerate() {
+            let candidate = self.evaluate(first_new + i, q, floors);
+            if best.is_none_or(|b| candidate.beats(&b, self.config.fr_fcfs)) {
+                best = Some(candidate);
             }
         }
-        best.map(|(i, c, o, _)| {
-            let first_cmd_offset = match o {
+        best.map(|b| {
+            let first_cmd_offset = match b.outcome {
                 RowOutcome::Hit => 0,
                 RowOutcome::Empty => self.timing.rcd,
                 RowOutcome::Miss => self.timing.rcd + self.timing.rp,
             };
-            (i, c, c.saturating_sub(first_cmd_offset), o)
+            (b, b.column.saturating_sub(first_cmd_offset))
         })
     }
 
-    /// Index of the (rank, bank) pair in the flat bank vector.
-    fn bank_index(&self, coord: &DramCoord) -> usize {
-        (coord.rank.min(self.ranks() - 1) * self.banks_per_rank + coord.bank % self.banks_per_rank)
-            as usize
+    /// The floors every candidate of one scan at `now` shares.
+    fn scan_floors(&self, now: u64, from_writes: bool) -> ScanFloors {
+        // The data burst must find the bus free: shift the column command back by the data
+        // latency. A read after a write burst also waits out the write-to-read turnaround.
+        let data_latency = self.timing.data_latency(from_writes);
+        let mut column = self
+            .blocked_until
+            .max(self.bus_free.saturating_sub(data_latency));
+        if self.last_burst == Some(AccessKind::Write) && !from_writes {
+            column = column.max(self.bus_free + self.timing.wtr);
+        }
+        ScanFloors {
+            activate: now.max(self.blocked_until),
+            column,
+        }
+    }
+
+    /// Evaluates queue entry `idx` at the scan whose shared floors are `floors`.
+    fn evaluate(&self, idx: usize, q: &QueuedRequest, floors: ScanFloors) -> Candidate {
+        let bank = q.bank as usize;
+        let not_before = floors.activate.max(self.act_floor[q.rank as usize]);
+        let column = self
+            .banks
+            .earliest_column(bank, q.row, not_before, &self.timing)
+            .max(q.arrival)
+            .max(floors.column);
+        Candidate {
+            idx,
+            column,
+            outcome: self.banks.classify(bank, q.row),
+            arrival: q.arrival,
+        }
     }
 
     /// Number of ranks this controller models.
@@ -433,35 +551,26 @@ impl ChannelController {
         (self.banks.len() as u32 / self.banks_per_rank).max(1)
     }
 
-    /// Earliest cycle an activate may issue on `rank` given tRRD and the four-activate window.
-    fn activate_floor(&self, rank: u32, now: u64) -> u64 {
-        let r = rank as usize % self.act_len.len();
-        let len = self.act_len[r] as usize;
-        let head = self.act_head[r] as usize;
-        let mut floor = now.max(self.blocked_until);
-        if len > 0 {
-            let last = self.act_times[r * 4 + (head + 3) % 4];
-            floor = floor.max(last + self.timing.rrd);
-        }
-        if len >= 4 {
-            let oldest = self.act_times[r * 4 + head];
-            floor = floor.max(oldest + self.timing.faw);
-        }
-        floor
-    }
-
-    /// Records an activate at `cycle` on `rank` into the tFAW ring.
-    fn record_activate(&mut self, rank: u32, cycle: u64) {
-        let r = rank as usize % self.act_len.len();
+    /// Records an activate at `cycle` on rank slot `r` into the tFAW ring, and refreshes
+    /// the rank's tRRD/tFAW activate floor.
+    fn record_activate(&mut self, r: usize, cycle: u64) {
         let head = self.act_head[r] as usize;
         self.act_times[r * 4 + head] = cycle;
-        self.act_head[r] = ((head + 1) % 4) as u8;
+        let head = (head + 1) % 4;
+        self.act_head[r] = head as u8;
         self.act_len[r] = (self.act_len[r] + 1).min(4);
+        let mut floor = cycle + self.timing.rrd;
+        if self.act_len[r] >= 4 {
+            // The oldest activate of a full window lives at the next push slot.
+            floor = floor.max(self.act_times[r * 4 + head] + self.timing.faw);
+        }
+        self.act_floor[r] = floor;
     }
 
     /// Issues the selected request: updates bank, bus and bookkeeping state and records the
     /// completion.
     fn issue(&mut self, idx: usize, column_cycle: u64, outcome: RowOutcome, from_writes: bool) {
+        self.winner = None;
         let q = if from_writes {
             self.write_queue
                 .remove(idx)
@@ -472,18 +581,15 @@ impl ChannelController {
                 .expect("selected index is valid")
         };
         let is_write = q.request.kind.is_write();
-        let bank_index = self.bank_index(&q.coord);
-        self.banks.access(
-            bank_index,
-            q.coord.row,
-            column_cycle,
-            is_write,
-            &self.timing,
-        );
+        self.banks
+            .access(q.bank as usize, q.row, column_cycle, is_write, &self.timing);
 
         if outcome != RowOutcome::Hit {
             // Record the activate for tRRD / tFAW tracking.
-            self.record_activate(q.coord.rank, column_cycle.saturating_sub(self.timing.rcd));
+            self.record_activate(
+                q.rank as usize,
+                column_cycle.saturating_sub(self.timing.rcd),
+            );
         }
 
         match outcome {
@@ -523,9 +629,10 @@ impl ChannelController {
     /// command will issue while requests are queued (a completion follows it strictly
     /// later, so the bound is never late).
     ///
-    /// The returned cycle is exact while the queues stay unchanged; newly enqueued requests
-    /// make the next `tick` recompute the schedule, so a stale (early) value only costs one
-    /// extra wake-up, never a missed completion.
+    /// The returned cycle is exact while the queues stay unchanged. After an enqueue it is
+    /// `now + 1`, early but never late: the next `tick` compares the arrivals against the
+    /// cached winner and recomputes the bound, so a stale value costs one extra wake-up,
+    /// never a missed completion.
     pub fn next_event(&self, now: u64) -> Option<u64> {
         let mut next = self
             .completed
@@ -534,8 +641,8 @@ impl ChannelController {
         if !self.read_queue.is_empty() || !self.write_queue.is_empty() {
             // The last tick already computed the exact next command-issue cycle; reuse it
             // instead of re-running the FR-FCFS scan. New arrivals since then invalidate
-            // the cache, and `now + 1` requests one (cheap) tick to rebuild it — exactly
-            // the cycle at which a fresh request could first issue anyway.
+            // the bound, and `now + 1` requests one tick to rebuild it — exactly the cycle
+            // at which a fresh request could first issue anyway.
             let e = if self.queues_dirty {
                 now + 1
             } else {
@@ -831,6 +938,68 @@ mod tests {
         assert_eq!(cycles, sorted, "drain order must equal completion order");
         assert_eq!(ctrl.row_stats().hits, 1);
         assert_eq!(ctrl.row_stats().misses, 1);
+    }
+
+    #[test]
+    fn a_later_row_hit_beats_the_cached_non_hit_winner() {
+        let (mut ctrl, map) = setup();
+        let (mut reference, _) = setup();
+        let base = 0x10_0000u64;
+        let c0 = map.decode(base);
+        let mut conflict = base;
+        loop {
+            conflict += 64;
+            let c = map.decode(conflict);
+            if c.bank == c0.bank && c.rank == c0.rank && c.row != c0.row {
+                break;
+            }
+        }
+        // Cycle 0 opens the row at `base`; cycle 1 queues a miss to the same bank, which
+        // waits for tRAS and is cached as the not-yet-ready winner; cycle 2 queues a row hit.
+        let arrivals = [(0, base), (1, conflict), (2, base + 64)];
+        for (i, &(cycle, addr)) in arrivals.iter().enumerate() {
+            let req = Request::read(i as u64, addr, Cycle::new(cycle), 0);
+            for c in [&mut ctrl, &mut reference] {
+                c.enqueue(req, map.decode(addr), cycle, i as u64);
+            }
+            ctrl.tick(cycle);
+            reference.tick_reference(cycle);
+            if cycle == 1 {
+                let cached = ctrl.winner.expect("the miss is not ready at cycle 1");
+                assert_eq!(cached.idx, 0, "the miss is the cached winner");
+            }
+        }
+        assert_eq!(
+            ctrl.winner.map(|w| w.idx),
+            Some(1),
+            "the row hit replaces the cached miss"
+        );
+        ctrl.tick(200_000);
+        for now in 3..=200_000u64 {
+            reference.tick_reference(now);
+        }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        ctrl.drain_completed(200_000, &mut a);
+        reference.drain_completed(200_000, &mut b);
+        let ids: Vec<u64> = a.iter().map(|c| c.completion.id.0).collect();
+        assert_eq!(
+            ids,
+            vec![0, 2, 1],
+            "the later row hit issues before the older miss"
+        );
+        let key = |v: &[ChannelCompletion]| -> Vec<(u64, u64)> {
+            v.iter()
+                .map(|c| (c.completion.id.0, c.completion.complete_cycle.as_u64()))
+                .collect()
+        };
+        assert_eq!(key(&a), key(&b), "the cached scan matches the full scan");
+        let stats = ctrl.row_stats();
+        assert_eq!((stats.empties, stats.hits, stats.misses), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_queued_request_fills_one_cache_line() {
+        assert_eq!(std::mem::size_of::<QueuedRequest>(), 64);
     }
 
     #[test]

@@ -34,6 +34,9 @@
 //!   model a handful of times per request on low-occupancy traffic rather than once per
 //!   cycle — the schedule stays bit-identical to the retained cycle-by-cycle reference
 //!   path (`DramSystem::tick_reference`), which the `event_equivalence` test enforces.
+//! * **One full FR-FCFS scan per issued command.** A scan caches its not-yet-ready winner;
+//!   until a command issues, a refresh fires or the served queue switches, the next scan
+//!   compares only the new arrivals against it (`controller` module docs, "Winner cache").
 //! * **Flat state, allocation-free steady state.** Per-bank timing state lives in
 //!   [`bank::BankArray`], a structure of arrays keyed by the flat `(rank, bank)` index, so
 //!   the FR-FCFS scan walks dense `Vec<u64>` columns; the per-rank tFAW history is a flat

@@ -7,6 +7,7 @@
 //! the cumulative statistics must be bit-identical — the event engine is an optimization,
 //! never a model change.
 
+use mess_dram::controller::ControllerConfig;
 use mess_dram::{DramConfig, DramPreset, DramSystem};
 use mess_types::{AccessKind, Completion, Cycle, Frequency, MemoryBackend, Request, RequestId};
 
@@ -148,7 +149,10 @@ fn drive(sys: &mut DramSystem, steps: &[Step], event_driven: bool) -> Observed {
 }
 
 fn assert_equivalent(config: DramConfig, seed: u64, requests: usize) {
-    let name = format!("{:?} x{} seed {seed}", config.preset, config.channels);
+    let name = format!(
+        "{:?} x{} {:?} seed {seed}",
+        config.preset, config.channels, config.controller
+    );
     let steps = random_schedule(seed, requests);
     let mut event = DramSystem::new(config.clone());
     let mut reference = DramSystem::new(config);
@@ -210,4 +214,27 @@ fn refreshless_optane_event_tick_matches_reference() {
         0x0C7A_AE5C,
         300,
     );
+}
+
+#[test]
+fn plain_fcfs_event_tick_matches_reference() {
+    // FCFS serves the queue head only: a cached head must never let a later arrival by.
+    let mut config = DramConfig::new(DramPreset::Ddr4_2666, 1, Frequency::from_ghz(2.0));
+    config.controller.fr_fcfs = false;
+    assert_equivalent(config, 0xFCF5_0001, 600);
+}
+
+#[test]
+fn shallow_queue_event_tick_matches_reference() {
+    // Four-deep queues: full-queue wake-ups, rejected batches and write-drain switches run
+    // all the time, each of which moves or drops the cached winner.
+    let mut config = DramConfig::new(DramPreset::Ddr4_2666, 1, Frequency::from_ghz(2.0));
+    config.controller = ControllerConfig {
+        read_queue_depth: 4,
+        write_queue_depth: 4,
+        write_high_watermark: 3,
+        write_low_watermark: 1,
+        fr_fcfs: true,
+    };
+    assert_equivalent(config, 0x5A11_0004, 600);
 }

@@ -12,9 +12,11 @@
 //! This is the only path from a spec to op streams: [`WorkloadSpec::streams`] is
 //! `compile(..)?.into_streams()`, so the sizing rules live in the one `match` below. The
 //! sizing arithmetic is checked, because specs arrive from clients: a working set that
-//! overflows `u64`, a GUPS table whose power-of-two rounding overflows, an HPCG matrix
-//! that ends past the 62-bit packed-op address range, or a multichase working set above
-//! `u32::MAX` lines is an [`MessError::InvalidConfig`], not a wrapped or truncated size.
+//! overflows `u64`, a GUPS table whose power-of-two rounding overflows, a STREAM array,
+//! `lat_mem_rd` working set, GUPS table, HPCG matrix or HPCG gather vector that ends past
+//! the 62-bit packed-op address range, or a multichase working set above `u32::MAX` lines
+//! is an [`MessError::InvalidConfig`], not a wrapped or truncated size, a mid-run panic or
+//! an address spilling into the op tag.
 //! The SPEC CPU2006-like suite stays on its generator (its RNG draw sequence is
 //! data-dependent, so there is nothing to hoist) and runs through the default
 //! [`mess_cpu::OpStream::fill_block`], which monomorphizes its `next_op` per stream type.
@@ -23,8 +25,11 @@
 //! of every family in the `compiled_equivalence` suite, so every report, CurveSet artifact
 //! and spec digest stays byte-identical.
 
+use crate::latency::CHASE_BASE;
+use crate::random::{GUPS_BASE, HPCG_GATHER_BASE, HPCG_MATRIX_BASE};
 use crate::spec::{WorkloadSpec, MIN_STREAM_BYTES};
 use crate::spec_suite;
+use crate::stream::ARRAY_C_BASE;
 use crate::{GupsConfig, HpcgConfig, LatMemRdConfig, MultichaseConfig, StreamConfig};
 use mess_cpu::{OpStream, PackedOp, VecStream};
 use mess_types::MessError;
@@ -98,6 +103,7 @@ pub fn compile(
                 iterations: *iterations,
                 cores,
             };
+            within_address_range(spec, "array", ARRAY_C_BASE, Some(config.array_bytes))?;
             // Per core: the kernel's per-line micro-sequence (a load per source array, a
             // store and a compute block).
             let body = (2 + kernel.source_arrays()) * cores.max(1) as u64;
@@ -113,6 +119,7 @@ pub fn compile(
                 stride_bytes: *stride_bytes,
                 loads: *loads,
             };
+            within_address_range(spec, "working set", CHASE_BASE, Some(config.array_bytes))?;
             (pad_single_core(config.stream(), cores), 1)
         }
         WorkloadSpec::Multichase {
@@ -150,6 +157,7 @@ pub fn compile(
                 cores: cores.max(1),
                 seed: *seed,
             };
+            within_address_range(spec, "table", GUPS_BASE, Some(table_bytes))?;
             (config.streams(), 0)
         }
         WorkloadSpec::Hpcg {
@@ -165,16 +173,9 @@ pub fn compile(
                 cores: cores.max(1),
                 seed: *seed,
             };
-            if config
-                .matrix_end()
-                .is_none_or(|end| end > PackedOp::ADDRESS_LIMIT)
-            {
-                return Err(MessError::InvalidConfig(format!(
-                    "HPCG: {} stripes of {rows_per_core} rows × {nonzeros_per_row} non-zeros \
-                     exceed the 62-bit packed-op address range",
-                    config.cores
-                )));
-            }
+            within_address_range(spec, "matrix", HPCG_MATRIX_BASE, config.matrix_bytes())?;
+            let vector = Some(config.vector_bytes);
+            within_address_range(spec, "gather vector", HPCG_GATHER_BASE, vector)?;
             (config.streams(), 0)
         }
         WorkloadSpec::SpecCpu2006 {
@@ -189,6 +190,24 @@ pub fn compile(
         streams,
         materialized_ops,
     })
+}
+
+/// Rejects `spec`'s `region` of `extent` bytes from `base` (`None`: the extent overflowed
+/// `u64`) when it ends past the packed-op address range.
+fn within_address_range(
+    spec: &WorkloadSpec,
+    region: &str,
+    base: u64,
+    extent: Option<u64>,
+) -> Result<(), MessError> {
+    match extent.and_then(|bytes| base.checked_add(bytes)) {
+        Some(end) if end <= PackedOp::ADDRESS_LIMIT => Ok(()),
+        _ => Err(MessError::InvalidConfig(format!(
+            "{}: the {region}{} ends past the 62-bit packed-op address range",
+            spec.label(),
+            extent.map_or(String::new(), |bytes| format!(" of {bytes} bytes")),
+        ))),
+    }
 }
 
 /// Pads a single-core workload with idle streams so the engine still models every core.
@@ -246,6 +265,64 @@ mod tests {
         // ...while two stripes of 2^53 × 324 bytes fit u64 but end past 2^62.
         let message = rejected(hpcg(1 << 53));
         assert!(message.contains("62-bit"), "{message}");
+    }
+
+    /// An LLC multiple whose 2^63-byte working set fits `u64` but, from any base, ends
+    /// past the 62-bit packed-op address range.
+    const PAST_THE_RANGE: u64 = 1 << 43;
+
+    #[test]
+    fn a_stream_array_past_the_packed_op_range_is_rejected() {
+        let message = rejected(WorkloadSpec::stream(StreamKernel::Copy, PAST_THE_RANGE));
+        assert!(
+            message.contains("STREAM") && message.contains("62-bit"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn a_lat_mem_rd_working_set_past_the_packed_op_range_is_rejected() {
+        let lat_mem_rd = |llc_multiple| WorkloadSpec::LatMemRd {
+            llc_multiple,
+            stride_bytes: 128,
+            loads: 1,
+        };
+        let message = rejected(lat_mem_rd(PAST_THE_RANGE));
+        assert!(message.contains("62-bit"), "{message}");
+        // A working set ending exactly at 2^62 still compiles; one LLC more does not.
+        let at_limit = (PackedOp::ADDRESS_LIMIT - CHASE_BASE) / LLC;
+        assert!(compile(&lat_mem_rd(at_limit), LLC, 2).is_ok());
+        let message = rejected(lat_mem_rd(at_limit + 1));
+        assert!(message.contains("62-bit"), "{message}");
+    }
+
+    #[test]
+    fn a_gups_table_past_the_packed_op_range_is_rejected() {
+        let spec = WorkloadSpec::Gups {
+            llc_multiple: PAST_THE_RANGE,
+            updates_per_core: 1,
+            seed: 1,
+        };
+        let message = rejected(spec);
+        assert!(
+            message.contains("GUPS") && message.contains("62-bit"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn an_hpcg_gather_vector_past_the_packed_op_range_is_rejected() {
+        let spec = WorkloadSpec::Hpcg {
+            rows_per_core: 1,
+            nonzeros_per_row: 27,
+            vector_llc_multiple: PAST_THE_RANGE,
+            seed: 1,
+        };
+        let message = rejected(spec);
+        assert!(
+            message.contains("vector") && message.contains("62-bit"),
+            "{message}"
+        );
     }
 
     #[test]

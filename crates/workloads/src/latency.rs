@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Base address of the latency benchmarks' working set.
-const CHASE_BASE: u64 = 0x7_0000_0000;
+pub(crate) const CHASE_BASE: u64 = 0x7_0000_0000;
 
 /// Configuration of an LMbench-style strided dependent-load chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -14,11 +14,13 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Base address of the GUPS table.
-const GUPS_BASE: u64 = 0x9_0000_0000;
+pub(crate) const GUPS_BASE: u64 = 0x9_0000_0000;
 /// Base address of the HPCG matrix stripe.
-const HPCG_MATRIX_BASE: u64 = 0xa_0000_0000;
+pub(crate) const HPCG_MATRIX_BASE: u64 = 0xa_0000_0000;
 /// Base address of the HPCG input/output vectors.
 const HPCG_VECTOR_BASE: u64 = 0xb_0000_0000;
+/// Base address of the vector the HPCG column indices gather from.
+pub(crate) const HPCG_GATHER_BASE: u64 = HPCG_VECTOR_BASE + 0x1000_0000;
 
 /// Configuration of a GUPS (Giga Updates Per Second) run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -153,16 +155,15 @@ pub struct HpcgConfig {
 }
 
 impl HpcgConfig {
-    /// One past the last byte of the last core's matrix stripe, or `None` if that
+    /// Bytes of all cores' matrix stripes from the matrix base, or `None` if that
     /// overflows `u64`. Each core's stripe holds an 8 B value and a 4 B column index per
-    /// non-zero, and the stripes sit line-aligned one after another from the matrix base.
-    pub(crate) fn matrix_end(&self) -> Option<u64> {
+    /// non-zero, and the stripes sit line-aligned one after another.
+    pub(crate) fn matrix_bytes(&self) -> Option<u64> {
         self.rows_per_core
             .checked_mul(self.nonzeros_per_row as u64)?
             .checked_mul(12)?
             .checked_next_multiple_of(CACHE_LINE_BYTES)?
-            .checked_mul(self.cores as u64)?
-            .checked_add(HPCG_MATRIX_BASE)
+            .checked_mul(self.cores as u64)
     }
 
     /// The paper's §VI configuration scaled to the platform: one benchmark copy per core,
@@ -246,9 +247,8 @@ impl HpcgStream {
                 .push(self.rng.gen_range(0..self.vector_lines));
         }
         for &line in self.gather_buf.iter().rev() {
-            self.pending.push(PackedOp::load(
-                HPCG_VECTOR_BASE + 0x1000_0000 + line * CACHE_LINE_BYTES,
-            ));
+            self.pending
+                .push(PackedOp::load(HPCG_GATHER_BASE + line * CACHE_LINE_BYTES));
         }
         self.pending
             .push(PackedOp::compute(2 * self.config.nonzeros_per_row));

@@ -136,7 +136,8 @@ impl StreamConfig {
 /// index bits and map across all DRAM channels.
 const ARRAY_A_BASE: u64 = 0x1_0000_0000;
 const ARRAY_B_BASE: u64 = 0x2_0000_0000;
-const ARRAY_C_BASE: u64 = 0x3_0000_0000;
+/// Array C has the highest base, and every kernel touches it.
+pub(crate) const ARRAY_C_BASE: u64 = 0x3_0000_0000;
 
 /// The operations of `kernel`'s micro-sequence for cache line `line`: one load per source
 /// array, one store to the destination array, then the kernel's compute block.
