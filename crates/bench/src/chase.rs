@@ -5,8 +5,11 @@
 //! serially and the average load-to-use latency is simply `elapsed / loads` — which is exactly
 //! how [`mess_cpu::RunReport::dependent_load_latency`] computes it for the probe core.
 //!
-//! The walk is the same single-cycle Sattolo chase as multichase's
-//! ([`mess_workloads::latency::sattolo_chase`]), over its own array.
+//! The walk is the same chase as multichase's ([`mess_workloads::latency::sattolo_chase`]),
+//! over its own array: a seeded Fisher–Yates order of the array's lines, read as one cycle
+//! from line 0. A probe is far shorter than its 4 × LLC array, so only the `loads` lines it
+//! visits are built, never the whole order: the build costs arithmetic per line but memory
+//! only per load.
 
 use mess_cpu::ProgramStream;
 use mess_types::{MessError, CACHE_LINE_BYTES};
@@ -47,7 +50,7 @@ impl PointerChaseConfig {
     /// # Errors
     ///
     /// Returns [`MessError::InvalidConfig`] if the array has more than `u32::MAX` cache
-    /// lines (the permutation is shuffled over `u32` line indices).
+    /// lines (the walk works on `u32` line indices).
     pub fn validate(&self) -> Result<(), MessError> {
         if self.lines() > u64::from(u32::MAX) {
             return Err(MessError::InvalidConfig(format!(
@@ -59,7 +62,7 @@ impl PointerChaseConfig {
     }
 
     /// Builds the probe's op stream: a program over one (possibly partial) lap of the
-    /// single-cycle permutation, repeated until `loads` hops.
+    /// cycle, repeated until `loads` hops.
     ///
     /// # Panics
     ///

@@ -18,7 +18,7 @@
 //!
 //! The pointer-chase probe is sweep-invariant: every point chases the same walk. It is built
 //! once per sweep, before the fan-out, and shared read-only; each point runs its own clone of
-//! the untouched cursor, so the permutation is shuffled once rather than once per point.
+//! the untouched cursor, so the walk is resolved once rather than once per point.
 
 use crate::chase::PointerChaseConfig;
 use crate::traffic::TrafficConfig;

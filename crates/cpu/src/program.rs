@@ -141,7 +141,8 @@ impl PackedOp {
     }
 
     /// Returns this op with `delta` bytes added to its address; compute blocks are returned
-    /// unchanged. The sum must stay within the 62-bit payload (checked in debug builds).
+    /// unchanged. The sum must stay within the 62-bit payload: checked here in debug builds
+    /// only, since [`OpProgram::stream`] checks a program's largest sum once, up front.
     #[inline]
     pub fn offset_by(self, delta: u64) -> PackedOp {
         if self.is_memory() {
@@ -339,7 +340,54 @@ impl OpProgram {
         self.body.len()
     }
 
+    /// The largest offset the cursor adds to a body address, or `None` if it overflows
+    /// `u64`, for a program that emits at least one op. Without a wrap that is the offset
+    /// of the last trip of a pass; with one, the trip offsets are multiples of the stride
+    /// modulo the wrap, whose largest is `wrap − gcd(stride, wrap)` once they have wrapped.
+    fn max_offset(&self) -> Option<u64> {
+        let trip_cap = |ops: u64| ops.div_ceil(self.body.len() as u64);
+        let trips = [
+            self.passes.map(|p| p.saturating_mul(self.trips_per_pass)),
+            self.total_ops.map(trip_cap),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        .unwrap_or(u64::MAX);
+        match self.wrap {
+            None => (trips.min(self.trips_per_pass) - 1).checked_mul(self.stride),
+            Some(w) => match (trips - 1).checked_mul(self.stride) {
+                Some(linear) if linear < w => Some(linear),
+                _ => Some(w - gcd(self.stride % w, w)),
+            },
+        }
+    }
+
+    /// Panics unless every memory op's address plus the largest trip offset fits in the
+    /// 62-bit payload (a program that emits at least one op).
+    fn check_offset_range(&self) {
+        let offset = self.max_offset();
+        if offset == Some(0) {
+            return;
+        }
+        let memory = self.body.iter().filter(|op| op.is_memory());
+        if let Some(top) = memory.map(|op| op.payload()).max() {
+            assert!(
+                offset
+                    .and_then(|offset| top.checked_add(offset))
+                    .is_some_and(|end| end <= PAYLOAD_MASK),
+                "address {top:#x} plus the largest trip offset exceeds the 62-bit packed-op range"
+            );
+        }
+    }
+
     /// Builds the executable cursor over this program.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a memory op's address plus the largest trip offset the cursor can reach
+    /// does not fit in the 62-bit payload: the cursor offsets packed words without a check,
+    /// so such a program would emit ops with a corrupted kind tag.
     pub fn stream(self, label: impl Into<String>) -> ProgramStream {
         let remaining = self.total_ops.unwrap_or(u64::MAX);
         let passes = match self.passes {
@@ -350,6 +398,9 @@ impl OpProgram {
             || self.trips_per_pass == 0
             || passes == Passes::Finite(0)
             || remaining == 0;
+        if !done {
+            self.check_offset_range();
+        }
         ProgramStream {
             body: self.body.into_boxed_slice(),
             trips_per_pass: self.trips_per_pass,
@@ -365,6 +416,14 @@ impl OpProgram {
             label: label.into(),
         }
     }
+}
+
+/// Greatest common divisor (`gcd(0, b) = b`).
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while a != 0 {
+        (a, b) = (b % a, a);
+    }
+    b
 }
 
 /// The executing cursor of an [`OpProgram`] — an [`OpStream`](crate::ops::OpStream) whose
@@ -474,6 +533,53 @@ mod tests {
     #[should_panic(expected = "62-bit packed-op range")]
     fn packing_a_wild_address_panics() {
         let _ = PackedOp::load(1 << 62);
+    }
+
+    #[test]
+    #[should_panic(expected = "62-bit packed-op range")]
+    fn a_wrapping_stride_past_the_packed_range_panics_at_build() {
+        // Offsets 0, 2^61, 2^62, 3·2^61 (mod 2^63): the third op would spill into the tag.
+        let _ = OpProgram::new(vec![PackedOp::dependent_load(0x7_0000_0000)], 1)
+            .with_stride(1 << 61)
+            .with_wrap(1 << 63)
+            .with_total_ops(8)
+            .stream("t");
+    }
+
+    #[test]
+    #[should_panic(expected = "62-bit packed-op range")]
+    fn a_per_pass_stride_past_the_packed_range_panics_at_build() {
+        let _ = OpProgram::new(vec![PackedOp::load(1 << 61)], 3)
+            .with_stride(1 << 60)
+            .with_passes(1)
+            .stream("t");
+    }
+
+    #[test]
+    fn programs_that_stay_in_range_build() {
+        // In each program the last reachable address is exactly the largest packable one.
+        let top = PackedOp::ADDRESS_LIMIT - 1;
+        let _ = OpProgram::new(vec![PackedOp::load(top - 2 * 64)], 3)
+            .with_stride(64)
+            .with_passes(u64::MAX)
+            .stream("t");
+        // A wrap keeps the offset below it, however many trips run.
+        let _ = OpProgram::new(vec![PackedOp::load(top - 960)], 1)
+            .with_stride(64)
+            .with_wrap(1024)
+            .stream("t");
+        // Only the trips the op cap lets run count.
+        let _ = OpProgram::new(vec![PackedOp::load(top - 64)], 1)
+            .with_stride(64)
+            .with_wrap(1 << 63)
+            .with_total_ops(2)
+            .stream("t");
+        // A program that emits nothing, or strides nothing, is never offset.
+        let _ = OpProgram::new(vec![PackedOp::load(top)], 1 << 40)
+            .with_stride(64)
+            .with_total_ops(0)
+            .stream("t");
+        let _ = OpProgram::new(vec![PackedOp::load(top)], 1 << 40).stream("t");
     }
 
     #[test]

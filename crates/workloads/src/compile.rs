@@ -4,7 +4,9 @@
 //! a **compile** stage that sizes the spec against the platform and pre-resolves
 //! everything expensive — STREAM kernels become literal per-line [`mess_cpu::OpProgram`]
 //! bodies with trip counts, `lat_mem_rd` becomes a one-op body with a wrapping stride,
-//! multichase materializes its Sattolo-cycle walk once (cut at `min(lines, loads)`), and
+//! multichase materializes the walk along its shuffled cycle once (cut at
+//! `min(lines, loads)`; a short walk over a large array never builds the `lines`-long
+//! order), and
 //! GUPS hoists its RNG out of the per-op path by pre-generating address chunks — and an
 //! **execution** stage where the engine consumes packed [`mess_cpu::OpBlock`]s with no
 //! per-op virtual dispatch.

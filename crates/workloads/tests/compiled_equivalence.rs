@@ -163,7 +163,8 @@ mod reference {
         }
     }
 
-    /// Builds a single-cycle permutation of `n` elements (Sattolo's algorithm).
+    /// Builds the chase's `next` table: a Fisher–Yates shuffle of the `n` lines read as a
+    /// ring, which is one cycle through every line (Sattolo's algorithm is not involved).
     fn sattolo_cycle(n: u32, seed: u64) -> Vec<u32> {
         let mut order: Vec<u32> = (0..n).collect();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -437,7 +438,21 @@ proptest! {
         loads in 0u64..2_000,
         seed in 0u64..1_000_000,
     ) {
-        // `loads` both below one lap and across several laps of the Sattolo cycle.
+        // `loads` both below one lap and across several laps of the chase's cycle.
+        let config = MultichaseConfig { array_bytes: lines * 64, loads, seed };
+        assert_equivalent_finite(reference::multichase(config), config.stream(), &format!("{config:?}"));
+    }
+
+    #[test]
+    fn sparse_multichase_compiles_to_identical_sequences(
+        lines in 2u64..16_384,
+        loads_per_64k_lines in 0u64..=4_096,
+        seed in 0u64..u64::MAX,
+    ) {
+        // Short walks over large arrays, up to one load per 16 lines and down to none:
+        // the walk is then resolved from the shuffle's draws rather than the shuffled order
+        // the reference walks.
+        let loads = lines * loads_per_64k_lines / 65_536;
         let config = MultichaseConfig { array_bytes: lines * 64, loads, seed };
         assert_equivalent_finite(reference::multichase(config), config.stream(), &format!("{config:?}"));
     }
@@ -466,6 +481,42 @@ proptest! {
         let config = HpcgConfig { rows_per_core, nonzeros_per_row, vector_bytes, cores, seed };
         for (r, c) in reference::hpcg_streams(&config).into_iter().zip(config.streams()) {
             assert_equivalent_finite(r, c, &format!("{config:?}"));
+        }
+    }
+}
+
+#[test]
+fn multichase_walks_that_wrap_past_the_order_end_are_identical() {
+    // Line 0 lands within `loads` of the shuffled order's end, so the walk runs off the end
+    // of the order and continues from its start: find such seeds for short and long walks.
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    for (lines, loads) in [
+        (1_000u64, 10u64),
+        (4_096, 60),
+        (16_384, 200),
+        (9_999, 9_000),
+    ] {
+        let wraps = (0..)
+            .filter(|&seed| {
+                let mut order: Vec<u64> = (0..lines).collect();
+                order.shuffle(&mut StdRng::seed_from_u64(seed));
+                let start = order.iter().position(|&line| line == 0).unwrap() as u64;
+                start > 0 && start + loads > lines
+            })
+            .take(3);
+        for seed in wraps {
+            let config = MultichaseConfig {
+                array_bytes: lines * 64,
+                loads,
+                seed,
+            };
+            assert_equivalent_finite(
+                reference::multichase(config),
+                config.stream(),
+                &format!("{config:?}"),
+            );
         }
     }
 }
