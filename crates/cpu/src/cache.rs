@@ -10,9 +10,16 @@
 //!
 //! This is why a 100 %-store kernel generates 50 %-read/50 %-write memory traffic (paper
 //! §II-A) and why Mess bandwidth exceeds STREAM's application-level estimate (§III).
+//!
+//! Replacement is exact LRU. Each way carries one byte of recency state — its rank among
+//! the set's valid ways — so a line costs 9 bytes of model state (an 8-byte tag word plus
+//! the rank), and associativity is bounded at [`MAX_WAYS`].
 
 use mess_types::CACHE_LINE_BYTES;
 use serde::{Deserialize, Serialize};
+
+/// The largest associativity the model supports: a way's LRU rank is one byte.
+pub const MAX_WAYS: u32 = 256;
 
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,9 +48,10 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if the geometry is degenerate (zero ways or capacity smaller than one way of
-    /// cache lines).
+    /// cache lines) or has more than [`MAX_WAYS`] ways.
     pub fn new(capacity_bytes: u64, ways: u32) -> Self {
         assert!(ways > 0, "cache must have at least one way");
+        assert_ways_in_range(ways);
         assert!(
             capacity_bytes >= ways as u64 * CACHE_LINE_BYTES,
             "cache must hold at least one line per way"
@@ -116,13 +124,33 @@ const TAG_DIRTY: u64 = 1 << 63;
 /// Mask of the tag value itself.
 const TAG_VALUE: u64 = TAG_VALID - 1;
 
+/// Rank of an invalid way: above every valid way's rank in a set with room, so a fill takes
+/// the first invalid way.
+const RANK_INVALID: u8 = u8::MAX;
+
+/// Panics if `ways` exceeds [`MAX_WAYS`].
+fn assert_ways_in_range(ways: u32) {
+    assert!(
+        ways <= MAX_WAYS,
+        "cache has {ways} ways, more than the {MAX_WAYS} a one-byte LRU rank can order"
+    );
+}
+
 /// A set-associative, write-allocate, write-back last-level cache model.
 ///
-/// Tag state is stored structure-of-arrays: one `u64` word per way (tag value + valid/dirty
-/// bits) and one LRU timestamp per way, each set-major and contiguous. The hit scan — the
-/// hottest loop in the whole engine, run once per memory instruction — therefore touches
-/// `ways * 8` contiguous bytes instead of an array of padded line structs, and the LRU
-/// victim scan (miss path only) reads the timestamp array alone.
+/// State is stored structure-of-arrays, set-major and contiguous: one `u64` word per way
+/// (tag value + valid/dirty bits) and one `u8` LRU rank per way. The hit scan — the hottest
+/// loop in the whole engine, run once per memory instruction — therefore touches `ways * 8`
+/// contiguous bytes of tag words, and the recency update and the victim scan touch `ways`
+/// bytes of ranks.
+///
+/// A valid way's rank is the number of valid ways in its set that were used more recently,
+/// so the valid ranks of a set are always exactly `0..valid`; an invalid way holds
+/// `u8::MAX`. An access to a way (a hit, or the fill of a victim) adds one to every rank
+/// below the way's old rank and sets its rank to 0. The victim is the first way with the
+/// largest rank: the first invalid way if the set has room, else the least recently used
+/// line. At [`MAX_WAYS`] ways a full set's LRU line ranks `u8::MAX` too, which is still the
+/// largest rank, so 256 ways is the bound.
 #[derive(Debug, Clone)]
 pub struct LastLevelCache {
     config: CacheConfig,
@@ -130,24 +158,26 @@ pub struct LastLevelCache {
     /// Stored tag words, `tags[set * ways..(set + 1) * ways]`: `TAG_VALID | dirty | value`,
     /// or `0` for an invalid way.
     tags: Vec<u64>,
-    /// LRU timestamps parallel to `tags`; `0` for an invalid way (the access clock starts
-    /// at 1, so a valid line's timestamp is always non-zero).
-    last_used: Vec<u64>,
-    clock: u64,
+    /// LRU ranks parallel to `tags`; `RANK_INVALID` for an invalid way.
+    ranks: Vec<u8>,
     stats: CacheStats,
 }
 
 impl LastLevelCache {
     /// Builds the cache described by `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` has more than [`MAX_WAYS`] ways.
     pub fn new(config: CacheConfig) -> Self {
+        assert_ways_in_range(config.ways);
         let sets = config.sets();
         let lines = sets * config.ways as usize;
         LastLevelCache {
             config,
             sets,
             tags: vec![0; lines],
-            last_used: vec![0; lines],
-            clock: 0,
+            ranks: vec![RANK_INVALID; lines],
             stats: CacheStats::default(),
         }
     }
@@ -169,6 +199,18 @@ impl LastLevelCache {
         (set, tag)
     }
 
+    /// Makes `way` its set's most recently used way: every way used more recently than it
+    /// ages by one rank. Invalid ways are never below the old rank, so they stay invalid,
+    /// and no rank can pass `u8::MAX`.
+    #[inline]
+    fn touch(ranks: &mut [u8], way: usize) {
+        let old = ranks[way];
+        for rank in ranks.iter_mut() {
+            *rank += u8::from(*rank < old);
+        }
+        ranks[way] = 0;
+    }
+
     /// Performs a load or store access.
     ///
     /// On a miss the line is allocated immediately (the fill request is issued by the caller);
@@ -185,13 +227,12 @@ impl LastLevelCache {
                 writeback: None,
             };
         }
-        self.clock += 1;
-        let clock = self.clock;
         let (set, tag) = self.index(addr);
         let sets = self.sets;
         let ways = self.config.ways as usize;
         let base = set * ways;
         let tags = &mut self.tags[base..base + ways];
+        let ranks = &mut self.ranks[base..base + ways];
 
         // Hit path: one masked compare per way over a contiguous word array.
         let stored = TAG_VALID | tag;
@@ -202,20 +243,18 @@ impl LastLevelCache {
             } else {
                 self.stats.load_hits += 1;
             }
-            self.last_used[base + way] = clock;
+            Self::touch(ranks, way);
             return AccessResult {
                 hit: true,
                 writeback: None,
             };
         }
 
-        // Miss: pick the LRU victim — the way with the smallest timestamp, first index on a
-        // tie. Invalid ways hold timestamp 0 and valid ones are ≥ 1, so "first invalid way,
-        // else least recently used" falls out of the plain minimum.
-        let stamps = &self.last_used[base..base + ways];
+        // Miss: the victim is the first way with the largest rank — the first invalid way,
+        // else the least recently used one.
         let mut victim = 0;
-        for (way, &stamp) in stamps.iter().enumerate().skip(1) {
-            if stamp < stamps[victim] {
+        for (way, &rank) in ranks.iter().enumerate().skip(1) {
+            if rank > ranks[victim] {
                 victim = way;
             }
         }
@@ -227,7 +266,7 @@ impl LastLevelCache {
             None
         };
         tags[victim] = stored | if is_store { TAG_DIRTY } else { 0 };
-        self.last_used[base + victim] = clock;
+        Self::touch(ranks, victim);
 
         if is_store {
             self.stats.store_misses += 1;
@@ -266,6 +305,37 @@ mod tests {
     #[should_panic(expected = "at least one way")]
     fn zero_ways_panics() {
         let _ = CacheConfig::new(1024, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "257 ways")]
+    fn more_ways_than_a_rank_byte_orders_panics() {
+        let _ = CacheConfig::new(257 * CACHE_LINE_BYTES, 257);
+    }
+
+    #[test]
+    #[should_panic(expected = "257 ways")]
+    fn building_a_cache_past_the_way_bound_panics() {
+        let config = CacheConfig {
+            capacity_bytes: 257 * CACHE_LINE_BYTES,
+            ways: 257,
+            enabled: true,
+        };
+        let _ = LastLevelCache::new(config);
+    }
+
+    #[test]
+    fn skylake_llc_keeps_at_most_nine_bytes_of_state_per_line() {
+        // Skylake's 33 MiB, 11-way LLC: 32,768 sets of 11 ways.
+        let c = LastLevelCache::new(CacheConfig::new(33 * 1024 * 1024, 11));
+        let lines = c.sets * 11;
+        assert_eq!(lines, 360_448);
+        let bytes =
+            std::mem::size_of_val(c.tags.as_slice()) + std::mem::size_of_val(c.ranks.as_slice());
+        assert!(
+            bytes <= 9 * lines,
+            "{bytes} bytes of tag and LRU state for {lines} lines"
+        );
     }
 
     #[test]
@@ -353,6 +423,110 @@ mod tests {
             ratio > 0.9,
             "steady-state writeback/fill ratio {ratio} should approach 1"
         );
+    }
+
+    /// The timestamp LRU the rank scheme replaced, kept as the reference it must match: one
+    /// `u64` timestamp per way (0 for invalid ways, a global access clock from 1 for valid
+    /// ones); the victim is the way with the smallest timestamp, first index on a tie.
+    struct TimestampLru {
+        sets: usize,
+        ways: usize,
+        tags: Vec<u64>,
+        last_used: Vec<u64>,
+        clock: u64,
+        stats: CacheStats,
+    }
+
+    impl TimestampLru {
+        fn new(config: CacheConfig) -> Self {
+            let sets = config.sets();
+            let ways = config.ways as usize;
+            TimestampLru {
+                sets,
+                ways,
+                tags: vec![0; sets * ways],
+                last_used: vec![0; sets * ways],
+                clock: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn access(&mut self, addr: u64, is_store: bool) -> AccessResult {
+            self.clock += 1;
+            let line = addr / CACHE_LINE_BYTES;
+            let set = (line as usize) & (self.sets - 1);
+            let stored = TAG_VALID | (line / self.sets as u64);
+            let base = set * self.ways;
+            let tags = &mut self.tags[base..base + self.ways];
+            if let Some(way) = tags.iter().position(|w| *w & !TAG_DIRTY == stored) {
+                if is_store {
+                    tags[way] |= TAG_DIRTY;
+                    self.stats.store_hits += 1;
+                } else {
+                    self.stats.load_hits += 1;
+                }
+                self.last_used[base + way] = self.clock;
+                return AccessResult {
+                    hit: true,
+                    writeback: None,
+                };
+            }
+            let stamps = &self.last_used[base..base + self.ways];
+            let mut victim = 0;
+            for (way, &stamp) in stamps.iter().enumerate().skip(1) {
+                if stamp < stamps[victim] {
+                    victim = way;
+                }
+            }
+            let old = tags[victim];
+            let writeback = (old & TAG_DIRTY != 0)
+                .then(|| ((old & TAG_VALUE) * self.sets as u64 + set as u64) * CACHE_LINE_BYTES);
+            tags[victim] = stored | if is_store { TAG_DIRTY } else { 0 };
+            self.last_used[base + victim] = self.clock;
+            if is_store {
+                self.stats.store_misses += 1;
+            } else {
+                self.stats.load_misses += 1;
+            }
+            if writeback.is_some() {
+                self.stats.writebacks += 1;
+            }
+            AccessResult {
+                hit: false,
+                writeback,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn rank_lru_matches_the_timestamp_reference(
+            way_choice in 0usize..5,
+            set_bits in 0u32..3,
+            words in proptest::collection::vec(0u64..u64::MAX, 3_000..6_000),
+        ) {
+            let ways = [1u32, 2, 11, 16, 256][way_choice];
+            let sets = 1u64 << set_bits;
+            let config = CacheConfig::new(sets * ways as u64 * CACHE_LINE_BYTES, ways);
+            prop_assert_eq!(config.sets() as u64, sets);
+            let mut cache = LastLevelCache::new(config);
+            let mut reference = TimestampLru::new(config);
+            // Lines are drawn from twice the capacity, so sets fill up, then mix hits with
+            // evictions; even the largest geometry (1,024 lines) sees 3,000+ accesses.
+            let pool = 2 * sets * ways as u64;
+            for (i, &word) in words.iter().enumerate() {
+                let addr = (word % pool) * CACHE_LINE_BYTES + (word >> 58);
+                let is_store = (word >> 57) & 1 == 1;
+                let got = cache.access(addr, is_store);
+                let want = reference.access(addr, is_store);
+                prop_assert!(
+                    got == want,
+                    "access {i} to {addr:#x} ({ways} ways, {sets} sets): {got:?}, reference {want:?}"
+                );
+            }
+            prop_assert_eq!(*cache.stats(), reference.stats);
+        }
     }
 
     proptest! {

@@ -57,8 +57,6 @@ pub struct Core {
     pub outstanding: u32,
     /// Dependent load this core is blocked on, if any.
     pub blocked_on: Option<RequestId>,
-    /// Cycle at which the currently blocking dependent load was issued.
-    pub blocked_since: u64,
     /// `true` once the op stream is exhausted.
     pub done: bool,
     /// Per-core statistics.
@@ -73,7 +71,6 @@ impl Core {
             busy_until: 0,
             outstanding: 0,
             blocked_on: None,
-            blocked_since: 0,
             done: false,
             stats: CoreStats::default(),
         }

@@ -600,7 +600,6 @@ impl Engine {
         core.stats.memory_reads += 1;
         if dependent {
             core.blocked_on = Some(id);
-            core.blocked_since = issue_cycle;
         }
         self.issue_batch.push(request);
         self.issue_meta.push(IssueMeta::Fill {

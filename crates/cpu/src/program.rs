@@ -388,7 +388,12 @@ impl OpProgram {
     /// Panics if a memory op's address plus the largest trip offset the cursor can reach
     /// does not fit in the 62-bit payload: the cursor offsets packed words without a check,
     /// so such a program would emit ops with a corrupted kind tag.
-    pub fn stream(self, label: impl Into<String>) -> ProgramStream {
+    pub fn stream(mut self, label: impl Into<String>) -> ProgramStream {
+        // A wrapped offset only needs the stride modulo the wrap; with both below a wrap of
+        // at most 2^63, `advance_trip`'s `offset + stride` cannot overflow before it reduces.
+        if let Some(w) = self.wrap {
+            self.stride %= w;
+        }
         let remaining = self.total_ops.unwrap_or(u64::MAX);
         let passes = match self.passes {
             Some(n) => Passes::Finite(n),

@@ -225,10 +225,9 @@ mod tests {
         DramSystem::new(DramConfig::new(preset, channels, Frequency::from_ghz(2.0)))
     }
 
-    /// Drives the DRAM system with `lanes` independent sequential streams until `total`
-    /// requests complete; returns (bandwidth GB/s, average read latency ns).
     /// Drives the system with `lanes` sequential streams, each keeping up to `depth` requests
-    /// in flight (the memory-level parallelism a core's MSHRs would provide).
+    /// in flight (the memory-level parallelism a core's MSHRs would provide), until `total`
+    /// requests complete; returns (bandwidth GB/s, average read latency ns).
     fn stream(
         sys: &mut DramSystem,
         lanes: usize,

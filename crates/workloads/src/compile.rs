@@ -225,6 +225,7 @@ fn pad_single_core(active: Box<dyn OpStream>, cores: u32) -> Vec<Box<dyn OpStrea
 mod tests {
     use super::*;
     use crate::stream::StreamKernel;
+    use mess_cpu::Op;
 
     const LLC: u64 = 1 << 20;
 
@@ -296,6 +297,20 @@ mod tests {
         assert!(compile(&lat_mem_rd(at_limit), LLC, 2).is_ok());
         let message = rejected(lat_mem_rd(at_limit + 1));
         assert!(message.contains("62-bit"), "{message}");
+    }
+
+    #[test]
+    fn a_lat_mem_rd_stride_near_u64_max_wraps_without_overflow() {
+        let spec = WorkloadSpec::LatMemRd {
+            llc_multiple: 1,
+            stride_bytes: u64::MAX,
+            loads: 3,
+        };
+        // u64::MAX mod 1,000,000 = 551,615; the third offset is 2 × 551,615 mod 1,000,000.
+        let mut streams = compile(&spec, 1_000_000, 1).unwrap().into_streams();
+        let ops: Vec<Op> = std::iter::from_fn(|| streams[0].next_op()).collect();
+        let chase = |offset| Op::dependent_load(CHASE_BASE + offset);
+        assert_eq!(ops, [chase(0), chase(551_615), chase(103_230)]);
     }
 
     #[test]
