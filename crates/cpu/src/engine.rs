@@ -157,6 +157,12 @@ enum IssueMeta {
 pub struct Engine {
     config: CpuConfig,
     cores: Vec<Core>,
+    /// Per core, the cycle at which it may next execute an op: its `busy_until` while
+    /// [`Core::can_issue`] allows and no fill of it waits for a retry, else `u64::MAX`
+    /// (see [`Engine::run`]).
+    ready_at: Vec<u64>,
+    /// Cores whose stream is exhausted.
+    cores_done: usize,
     streams: Vec<Box<dyn OpStream>>,
     /// Per-core refill buffers of packed ops: the core-advance fast path is an array read
     /// from here, with one virtual `fill_block` call per [`OpBlock`] instead of per op.
@@ -222,6 +228,8 @@ impl Engine {
         );
         Engine {
             cores: (0..config.cores).map(Core::new).collect(),
+            ready_at: vec![0; config.cores as usize],
+            cores_done: 0,
             blocks: (0..config.cores).map(|_| OpBlock::new()).collect(),
             block_pos: vec![0; config.cores as usize],
             llc: LastLevelCache::new(config.llc),
@@ -258,6 +266,13 @@ impl Engine {
     /// at which anything can happen — `min`(next core event, `backend.next_event()`). For a
     /// latency-bound workload (every core blocked on a dependent load) this skips the
     /// hundreds of dead cycles per memory access that the old lockstep loop burned.
+    ///
+    /// Each wake visits only what is due. The engine keeps a dense per-core `ready_at`: the
+    /// cycle at which the core may next execute, or `u64::MAX` while it is blocked on a
+    /// dependent load, has every MSHR in use, has a fill waiting for a retry, or is done.
+    /// It is refreshed only where a core's state changes (after `execute`, a completion, a
+    /// retry or rejection, and when the stream runs out), so the core loop tests one `u64`
+    /// per core and the next core event is a minimum over that array.
     pub fn run<B: MemoryBackend + ?Sized>(
         &mut self,
         backend: &mut B,
@@ -286,6 +301,10 @@ impl Engine {
         let mut ticks = 0u64;
         let mut drain_batches = 0u64;
         self.run_issued = 0;
+        self.cores_done = self.cores.iter().filter(|c| c.done).count();
+        for core_idx in 0..self.cores.len() {
+            self.refresh_ready(core_idx);
+        }
 
         while now < max_cycles {
             ticks += 1;
@@ -333,6 +352,7 @@ impl Engine {
                     core.stats.dependent_load_latency_cycles += latency;
                     core.stats.stall_cycles += latency;
                 }
+                self.refresh_ready(slab_idx);
             }
 
             // Re-offer previously rejected requests first (writebacks, then fills), so
@@ -342,12 +362,15 @@ impl Engine {
             // Advance cores; they append their memory requests to the issue batch.
             debug_assert!(self.issue_batch.is_empty());
             for core_idx in 0..self.cores.len() {
-                // A core with a rejected fill outstanding must wait for the retry to succeed.
-                if self.retry_fills.iter().any(|(c, _, _)| *c == core_idx) {
-                    continue;
-                }
-                let can_issue = self.cores[core_idx].can_issue(now, self.config.mshrs_per_core);
-                if !can_issue {
+                // `ready_at` folds in `can_issue` and a pending retry: a core with a rejected
+                // fill outstanding must wait for the retry to succeed.
+                debug_assert_eq!(
+                    self.ready_at[core_idx] <= now,
+                    self.cores[core_idx].can_issue(now, self.config.mshrs_per_core)
+                        && !self.retry_pending(core_idx),
+                    "ready_at of core {core_idx} is stale"
+                );
+                if self.ready_at[core_idx] > now {
                     continue;
                 }
                 // Buffered block cursor: the steady-state path is an array read plus a
@@ -364,22 +387,23 @@ impl Engine {
                     self.blocks[core_idx].get(0)
                 } else {
                     let core = &mut self.cores[core_idx];
-                    if !core.done {
-                        core.done = true;
-                        core.stats.finished_at = now;
-                    }
+                    core.done = true;
+                    core.stats.finished_at = now;
+                    self.cores_done += 1;
+                    self.ready_at[core_idx] = u64::MAX;
                     continue;
                 };
                 self.execute(core_idx, packed, now, hit_cycles);
+                self.refresh_ready(core_idx);
             }
 
             // One virtual call hands the whole cycle's requests to the backend.
-            self.flush_issue_batch(backend);
+            self.flush_issue_batch(backend, false);
 
             // Stop-condition evaluation.
             let stop_now = match stop {
                 StopCondition::AllStreamsDone => {
-                    self.cores.iter().all(|c| c.done)
+                    self.cores_done == self.cores.len()
                         && self.in_flight_count == 0
                         && self.retry_fills.is_empty()
                         && self.retry_writebacks.is_empty()
@@ -427,6 +451,19 @@ impl Engine {
         }
     }
 
+    /// Whether a rejected fill of `core_idx` waits in the retry queue.
+    fn retry_pending(&self, core_idx: usize) -> bool {
+        self.retry_fills.iter().any(|(c, _, _)| *c == core_idx)
+    }
+
+    /// Recomputes `ready_at[core_idx]` from the core's state (see [`Engine::run`]).
+    fn refresh_ready(&mut self, core_idx: usize) {
+        let core = &self.cores[core_idx];
+        let ready = core.can_issue(core.busy_until, self.config.mshrs_per_core)
+            && !self.retry_pending(core_idx);
+        self.ready_at[core_idx] = if ready { core.busy_until } else { u64::MAX };
+    }
+
     /// Re-offers previously rejected writebacks and fills as one batch, ahead of new work.
     fn retry_rejected<B: MemoryBackend + ?Sized>(&mut self, backend: &mut B) {
         if self.retry_writebacks.is_empty() && self.retry_fills.is_empty() {
@@ -441,7 +478,7 @@ impl Engine {
             self.issue_batch.push(req);
             self.issue_meta.push(IssueMeta::Fill { core, dependent });
         }
-        self.flush_issue_batch(backend);
+        self.flush_issue_batch(backend, true);
     }
 
     /// Issues the pending batch and routes the accepted/rejected split: accepted fills are
@@ -451,23 +488,26 @@ impl Engine {
     /// after a rejection the suffix is re-offered with the rejected head parked in a retry
     /// queue — one stuffed channel must not starve requests bound for idle channels, which
     /// the v1 per-request protocol tried independently.
-    fn flush_issue_batch<B: MemoryBackend + ?Sized>(&mut self, backend: &mut B) {
+    ///
+    /// `retried` marks a batch of re-offered requests: a core whose retried fill is accepted
+    /// may execute again. A fresh fill changes no core state when it is accepted.
+    fn flush_issue_batch<B: MemoryBackend + ?Sized>(&mut self, backend: &mut B, retried: bool) {
         let mut start = 0;
         while start < self.issue_batch.len() {
             let outcome = backend.issue(&self.issue_batch[start..]);
             self.run_issued += outcome.accepted as u64;
-            for (request, meta) in self.issue_batch[start..]
-                .iter()
-                .zip(&self.issue_meta[start..])
-                .take(outcome.accepted)
-            {
-                if let IssueMeta::Fill { core, dependent } = *meta {
+            for i in start..start + outcome.accepted {
+                if let IssueMeta::Fill { core, dependent } = self.issue_meta[i] {
+                    let request = &self.issue_batch[i];
                     self.in_flight[core].push(InFlight {
                         id: request.id,
                         dependent,
                         issued_at: request.issue_cycle.as_u64(),
                     });
                     self.in_flight_count += 1;
+                    if retried {
+                        self.refresh_ready(core);
+                    }
                 }
             }
             let rejected = start + outcome.accepted;
@@ -478,6 +518,7 @@ impl Engine {
                 IssueMeta::Fill { core, dependent } => {
                     self.retry_fills
                         .push((core, self.issue_batch[rejected], dependent));
+                    self.ready_at[core] = u64::MAX;
                 }
                 IssueMeta::Writeback => self.retry_writebacks.push(self.issue_batch[rejected]),
             }
@@ -488,31 +529,20 @@ impl Engine {
     }
 
     /// The next cycle at which anything can happen: the earliest core able to act, or the
-    /// backend's next event when every runnable core is waiting on memory.
+    /// backend's next event while memory work is outstanding.
     fn next_cycle<B: MemoryBackend + ?Sized>(&self, now: u64, backend: &B) -> u64 {
-        let mut next = u64::MAX;
-        let mut wait_memory = !self.retry_fills.is_empty() || !self.retry_writebacks.is_empty();
-        for (idx, core) in self.cores.iter().enumerate() {
-            if core.done {
-                continue;
-            }
-            if core.blocked_on.is_some() {
-                // Woken by a completion.
-                wait_memory = true;
-                continue;
-            }
-            if self.retry_fills.iter().any(|(c, _, _)| *c == idx) {
-                // Woken when the retry is accepted (covered by wait_memory above).
-                continue;
-            }
-            if core.outstanding >= self.config.mshrs_per_core {
-                // MSHRs full: woken by a completion.
-                wait_memory = true;
-                continue;
-            }
-            next = next.min(core.busy_until.max(now + 1));
-        }
-        if wait_memory || backend.pending() > 0 {
+        let mut next = self
+            .ready_at
+            .iter()
+            .fold(u64::MAX, |a, &b| a.min(b))
+            .max(now + 1);
+        // A core that is blocked, has its MSHRs full or waits for a retry has a fill in
+        // flight or in the retry queue; either way the backend's next event wakes it.
+        let wait_memory = self.in_flight_count > 0
+            || !self.retry_fills.is_empty()
+            || !self.retry_writebacks.is_empty()
+            || backend.pending() > 0;
+        if wait_memory {
             let event = backend.next_event().map_or(now + 1, |c| c.as_u64());
             next = next.min(event.max(now + 1));
         }

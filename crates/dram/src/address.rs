@@ -24,14 +24,28 @@ pub struct DramCoord {
 }
 
 /// Address-mapping configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct AddressMapping {
     channels: u32,
     ranks: u32,
     banks: u32,
     /// Cache lines per row (row_bytes / 64).
     lines_per_row: u64,
+    /// `log2` of (channels, lines per row, banks, ranks) when all four are powers of two:
+    /// decode then shifts and masks instead of dividing. A deserialized mapping divides.
+    #[serde(skip)]
+    shifts: Option<[u32; 4]>,
 }
+
+/// Two mappings are equal when their geometries are: the shifts follow from the geometry.
+impl PartialEq for AddressMapping {
+    fn eq(&self, other: &Self) -> bool {
+        let geometry = |m: &Self| (m.channels, m.ranks, m.banks, m.lines_per_row);
+        geometry(self) == geometry(other)
+    }
+}
+
+impl Eq for AddressMapping {}
 
 impl AddressMapping {
     /// Creates a mapping for the given geometry.
@@ -48,11 +62,18 @@ impl AddressMapping {
             row_bytes >= CACHE_LINE_BYTES,
             "row must hold at least one cache line"
         );
+        let lines_per_row = row_bytes / CACHE_LINE_BYTES;
+        let dims = [channels as u64, lines_per_row, banks as u64, ranks as u64];
+        let shifts = dims
+            .iter()
+            .all(|d| d.is_power_of_two())
+            .then(|| dims.map(u64::trailing_zeros));
         AddressMapping {
             channels,
             ranks,
             banks,
-            lines_per_row: row_bytes / CACHE_LINE_BYTES,
+            lines_per_row,
+            shifts,
         }
     }
 
@@ -75,6 +96,40 @@ impl AddressMapping {
     /// so that power-of-two-strided streams from different cores do not all collide in the
     /// same bank.
     pub fn decode(&self, addr: u64) -> DramCoord {
+        match self.shifts {
+            Some(shifts) => Self::decode_by_shifts(addr, shifts),
+            None => self.decode_by_division(addr),
+        }
+    }
+
+    /// [`AddressMapping::decode`] for a geometry whose four dimensions are powers of two,
+    /// given their `log2`s.
+    fn decode_by_shifts(
+        addr: u64,
+        [channel_bits, column_bits, bank_bits, rank_bits]: [u32; 4],
+    ) -> DramCoord {
+        let low = |x: u64, bits: u32| x & ((1u64 << bits) - 1);
+        let line = addr / CACHE_LINE_BYTES;
+        let channel = low(line, channel_bits) as u32;
+        let rest = line >> channel_bits;
+        let column = low(rest, column_bits);
+        let rest = rest >> column_bits;
+        let bank_raw = low(rest, bank_bits);
+        let rest = rest >> bank_bits;
+        let rank = low(rest, rank_bits) as u32;
+        let row = rest >> rank_bits;
+        let bank = low(bank_raw ^ Self::fold(row), bank_bits) as u32;
+        DramCoord {
+            channel,
+            rank,
+            bank,
+            row,
+            column,
+        }
+    }
+
+    /// [`AddressMapping::decode`] for any geometry, by runtime division.
+    fn decode_by_division(&self, addr: u64) -> DramCoord {
         let line = addr / CACHE_LINE_BYTES;
         let channel = (line % self.channels as u64) as u32;
         let rest = line / self.channels as u64;
@@ -84,8 +139,7 @@ impl AddressMapping {
         let rest = rest / self.banks as u64;
         let rank = (rest % self.ranks as u64) as u32;
         let row = rest / self.ranks as u64;
-        let fold = row.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        let bank = ((bank_raw ^ fold) % self.banks as u64) as u32;
+        let bank = ((bank_raw ^ Self::fold(row)) % self.banks as u64) as u32;
         DramCoord {
             channel,
             rank,
@@ -93,6 +147,11 @@ impl AddressMapping {
             row,
             column,
         }
+    }
+
+    /// The folded row bits XORed into the bank index.
+    fn fold(row: u64) -> u64 {
+        row.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32
     }
 
     /// Returns the number of consecutive bytes mapped to the same row of the same bank before
@@ -159,6 +218,32 @@ mod tests {
             prop_assert!(c.rank < 2);
             prop_assert!(c.bank < 16);
             prop_assert!(c.column < 8192 / 64);
+        }
+
+        #[test]
+        fn prop_shift_decode_matches_division(
+            addr in 0u64..1u64 << 50,
+            channel_bits in 0u32..4,
+            rank_bits in 0u32..3,
+            bank_bits in 0u32..7,
+            row_bits in 6u32..15,
+        ) {
+            let m = AddressMapping::new(1 << channel_bits, 1 << rank_bits, 1 << bank_bits, 1 << row_bits);
+            prop_assert!(m.shifts.is_some());
+            prop_assert_eq!(m.decode(addr), m.decode_by_division(addr));
+        }
+
+        #[test]
+        fn prop_six_channels_decode_by_division(
+            addr in 0u64..1u64 << 50,
+            rank_bits in 0u32..3,
+            bank_bits in 0u32..7,
+            row_bits in 6u32..15,
+        ) {
+            let m = AddressMapping::new(6, 1 << rank_bits, 1 << bank_bits, 1 << row_bits);
+            prop_assert!(m.shifts.is_none());
+            prop_assert_eq!(m.decode(addr), m.decode_by_division(addr));
+            prop_assert!(m.decode(addr).channel < 6);
         }
 
         #[test]

@@ -4,8 +4,9 @@
 //! precharge and activate commands may be issued, enforcing tRCD, tRP, tRAS and tWR. The
 //! state of all banks of one channel lives in [`BankArray`], a structure-of-arrays keyed by
 //! the flat `(rank, bank)` index, which the controller resolves once per request at enqueue:
-//! the FR-FCFS scheduler evaluates queued requests against their banks once per issued
-//! command (plus each new arrival against the cached winner), and four dense `Vec<u64>`
+//! the FR-FCFS scheduler evaluates the oldest queued request of each (bank, row hit) group
+//! against its bank once per issued command (plus new arrivals against the cached winner),
+//! and four dense `Vec<u64>`
 //! columns keep that scan in a handful of cache lines instead of striding over an array of
 //! structs.
 
@@ -87,7 +88,21 @@ impl BankArray {
     /// starting no earlier than `not_before` (which encodes channel-level constraints such as
     /// tRRD/tFAW and refresh blocking for the activate).
     pub fn earliest_column(&self, i: usize, row: u64, not_before: u64, t: &TimingCycles) -> u64 {
-        match self.classify(i, row) {
+        self.column_for(i, self.classify(i, row), not_before, t)
+    }
+
+    /// [`BankArray::earliest_column`] for an access already classified as `outcome`.
+    ///
+    /// The row enters only through the outcome: every row hit of bank `i` shares one column
+    /// cycle, and so does every access that is not a hit.
+    pub fn column_for(
+        &self,
+        i: usize,
+        outcome: RowOutcome,
+        not_before: u64,
+        t: &TimingCycles,
+    ) -> u64 {
+        match outcome {
             RowOutcome::Hit => self.column_ready[i].max(not_before),
             RowOutcome::Empty => {
                 let act = self.activate_ready[i].max(not_before);

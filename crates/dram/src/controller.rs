@@ -23,11 +23,11 @@
 //! ## Winner cache
 //!
 //! A scan whose winner is not ready yet caches that winner: which queue was served, the
-//! winner's queue index and the queue length the scan covered. The next scan of the same
-//! queue re-evaluates only the cached winner and the entries enqueued since, with the same
-//! comparator as a full scan (row hit, then column cycle, then arrival, with the earlier
-//! queue index winning ties), so an arrival is compared against one candidate instead of
-//! the whole queue. The result is the one a full scan would return:
+//! winner with its evaluated key and the queue length the scan covered. The next scan of
+//! the same queue starts from the cached key and evaluates only the entries enqueued since,
+//! with the same comparator as a full scan (row hit, then column cycle, then arrival, with
+//! the earlier queue index winning ties), so an arrival is compared against one candidate
+//! instead of the whole queue. The result is the one a full scan would return:
 //!
 //! - While no command issues and no refresh fires, the bank, bus, activate-window and
 //!   refresh state is frozen. Each candidate's row outcome, arrival and queue index are then
@@ -49,30 +49,72 @@
 //! queue also forces a full scan. Hence a full scan runs once per issued command (plus one
 //! after each refresh or queue switch), not once per enqueue. The reference walk never reads
 //! the cache, which keeps `event_equivalence` an independent oracle for it.
+//!
+//! ## Group scan
+//!
+//! A scan evaluates only the oldest queued entry of each (bank, row hit) group. The row
+//! enters a candidate's column cycle only through its outcome
+//! ([`crate::bank::BankArray::column_for`]): every row hit of a bank waits for the same
+//! column-ready deadline, and every other access to the bank (all empties, or all misses)
+//! for the same precharge/activate chain. The rank floor follows from the bank, and the
+//! scan floors are shared, so all entries of a group share one column cycle `C` up to
+//! their arrival: entry `i` gets `max(C, arrival_i)`. Arrivals append at a non-decreasing
+//! clock, so a later entry of the group has an arrival, a column cycle and a queue index
+//! no smaller than the oldest one's and can never beat it, not even on a tie. And since any
+//! row hit beats every entry that is not one, the entries that are not hits need no look at
+//! all while the scan covers a hit (or the cached winner is one).
+//!
+//! The queue finds the group leaders with bitmasks over queue positions: one per flat bank
+//! and one of the row hits. The oldest hit is the
+//! lowest set bit of the hit mask; clearing its bank's positions leaves the next group's
+//! leader as the next lowest bit. The hit mask changes only where a bank's open row does:
+//! an issue that opens a row re-marks that bank's entries, and a refresh clears it. So a
+//! scan costs a few bit operations per group instead of a classification per entry, and
+//! each entry is classified once, not twice. The reference walk scans every entry, which
+//! keeps `event_equivalence` an independent oracle for the index as well.
+//!
+//! ## Channel calendar
+//!
+//! The multi-channel [`crate::system::DramSystem`] ticks only the channels that are due. A
+//! channel reports two cycles. [`ChannelController::tick_due`] is the first cycle at which
+//! `tick` does more than move the event clock, and [`ChannelController::event_due`] is its
+//! next-event bound before the `now + 1` clamp. The system keeps both per channel, refreshes
+//! them after each channel tick, drain and enqueue, skips a channel whose two cycles both
+//! lie in the future, and answers `next_event` with one minimum over the channel count.
+//! Three points keep this exact:
+//!
+//! - **Stale clock of a skipped channel.** A skipped tick would only have moved
+//!   `next_unprocessed` to `now + 1`. A scan is unaffected by how far back its clock starts
+//!   while the state is frozen (the "Winner cache" argument), so the lag matters only for
+//!   arrivals, whose scan must not start before the cycle after their enqueue. The system
+//!   therefore advances the clock to one past its last tick before an enqueue
+//!   ([`ChannelController::advance_clock`]). It does not happen inside `enqueue`: a caller
+//!   may enqueue at `now` and then tick `now` itself.
+//! - **Wake bound of a dirty channel.** After an enqueue the bound stays one past the
+//!   enqueue cycle plus the shortest completion path unless a queue is full, exactly as
+//!   `next_event` reported it. `event_due` reads the clock only in that dirty state, and
+//!   the system refreshes it at each enqueue, when its clock is the enqueue cycle. A bare
+//!   `now + 1` would wake the issuer more often and change which requests find a full
+//!   queue.
+//! - **Refresh of an idle channel.** With both queues empty `tick_due` is `u64::MAX`, so a
+//!   refresh deadline does not wake the channel. Nothing can issue before the next arrival,
+//!   and that arrival's tick runs `maybe_refresh`, which fires every missed refresh in
+//!   order. Each refresh only closes rows and raises deadlines to a maximum
+//!   (`block_all_until`), so firing them late gives the same state.
+//!
+//! Completions leave a channel through two in-order lanes, one for reads and one for
+//! writes. The data bus serializes bursts, so each new burst ends strictly after the last
+//! one, and a read completes a fixed overhead after its burst, a write at its burst's end:
+//! each lane's completion cycles strictly rise. A drain merges the two lane heads by
+//! (cycle, sequence) straight into the system's buffer, which is sorted by the same key
+//! only when more than one channel drain contributed since the last system drain.
 
 use crate::address::DramCoord;
 use crate::bank::{BankArray, RowOutcome};
+use crate::queue::{positions, QueuedRequest, RequestQueue};
 use crate::timing::TimingCycles;
 use mess_types::{AccessKind, Completion, Cycle, Request, RowBufferStats};
-use std::collections::{BinaryHeap, VecDeque};
-
-/// A request waiting in a controller queue.
-///
-/// Holds only what the scheduler reads, with the flat bank index resolved once at enqueue:
-/// 64 bytes, one cache line per entry.
-#[derive(Debug, Clone, Copy)]
-struct QueuedRequest {
-    request: Request,
-    /// Row within the bank.
-    row: u64,
-    arrival: u64,
-    /// System-level acceptance sequence, echoed in the completion for drain-order ties.
-    seq: u64,
-    /// Flat `(rank, bank)` index into the channel's [`BankArray`].
-    bank: u32,
-    /// Slot of the request's rank in the activate-window rings.
-    rank: u32,
-}
+use std::collections::VecDeque;
 
 /// Configuration of one channel controller.
 #[derive(Debug, Clone, Copy)]
@@ -112,39 +154,11 @@ pub struct ChannelCompletion {
     pub seq: u64,
 }
 
-/// Min-heap entry ordering scheduled completions by (completion cycle, acceptance sequence).
-#[derive(Debug, Clone, Copy)]
-struct PendingCompletion(ChannelCompletion);
-
-impl PendingCompletion {
-    fn key(&self) -> (u64, u64) {
-        (self.0.completion.complete_cycle.as_u64(), self.0.seq)
-    }
-}
-
-impl PartialEq for PendingCompletion {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for PendingCompletion {}
-impl PartialOrd for PendingCompletion {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingCompletion {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest completion on top.
-        other.key().cmp(&self.key())
-    }
-}
-
 /// Sentinel for "no command can issue while the queues stay as they are".
 const NO_ISSUE: u64 = u64::MAX;
 
 /// One FR-FCFS candidate evaluated at the scan cycle.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Candidate {
     idx: usize,
     column: u64,
@@ -171,8 +185,9 @@ impl Candidate {
 struct CachedWinner {
     /// Which queue the scan served.
     from_writes: bool,
-    /// Queue index of the winner.
-    idx: usize,
+    /// The winner as its scan evaluated it. Its key holds up to its start cycle, which no
+    /// scan passes while the cache is valid (module docs, "Winner cache").
+    best: Candidate,
     /// Queue length the scan covered; entries at and past it arrived since.
     scanned: usize,
 }
@@ -196,8 +211,8 @@ pub struct ChannelController {
     banks: BankArray,
     /// Banks per rank; `banks` holds `banks_per_rank × ranks` entries.
     banks_per_rank: u32,
-    read_queue: VecDeque<QueuedRequest>,
-    write_queue: VecDeque<QueuedRequest>,
+    read_queue: RequestQueue,
+    write_queue: RequestQueue,
     /// Earliest cycle the shared data bus is free.
     bus_free: u64,
     /// Cycle until which the whole channel is blocked (refresh).
@@ -217,9 +232,11 @@ pub struct ChannelController {
     last_burst: Option<AccessKind>,
     /// Write-drain mode flag.
     draining_writes: bool,
-    /// Scheduled completions, a min-heap on (completion cycle, acceptance sequence) so
-    /// drains pop in drain order at O(log n) per completion without sorting.
-    completed: BinaryHeap<PendingCompletion>,
+    /// Scheduled read completions in issue order. The shared data bus serializes bursts, so
+    /// each lane's completion cycles strictly rise and a FIFO keeps it in drain order.
+    read_lane: VecDeque<ChannelCompletion>,
+    /// Scheduled write acknowledgements in issue order (see `read_lane`).
+    write_lane: VecDeque<ChannelCompletion>,
     /// First cycle whose command scheduling has not run yet (the internal event clock).
     next_unprocessed: u64,
     /// The next-issue/refresh bound computed by the last `tick` ([`NO_ISSUE`] when the
@@ -244,13 +261,14 @@ impl ChannelController {
     /// for every (rank, bank) pair.
     pub fn new(timing: TimingCycles, banks: u32, ranks: u32, config: ControllerConfig) -> Self {
         let ranks = ranks.max(1) as usize;
+        let flat_banks = banks.max(1) as usize * ranks;
         ChannelController {
             timing,
             config,
-            banks: BankArray::new(banks.max(1) as usize * ranks),
+            banks: BankArray::new(flat_banks),
             banks_per_rank: banks.max(1),
-            read_queue: VecDeque::new(),
-            write_queue: VecDeque::new(),
+            read_queue: RequestQueue::new(config.read_queue_depth, flat_banks),
+            write_queue: RequestQueue::new(config.write_queue_depth, flat_banks),
             bus_free: 0,
             blocked_until: 0,
             next_refresh: timing.refi.max(1),
@@ -260,7 +278,8 @@ impl ChannelController {
             act_floor: vec![0; ranks],
             last_burst: None,
             draining_writes: false,
-            completed: BinaryHeap::new(),
+            read_lane: VecDeque::new(),
+            write_lane: VecDeque::new(),
             next_unprocessed: 0,
             cached_next_issue: NO_ISSUE,
             queues_dirty: false,
@@ -293,17 +312,33 @@ impl ChannelController {
             bank,
             rank: coord.rank % self.act_len.len() as u32,
         };
-        match request.kind {
-            AccessKind::Read => self.read_queue.push_back(q),
-            AccessKind::Write => self.write_queue.push_back(q),
-        }
+        let queue = match request.kind {
+            AccessKind::Read => &mut self.read_queue,
+            AccessKind::Write => &mut self.write_queue,
+        };
+        // The group scan relies on arrivals that never decrease along a queue (module docs,
+        // "Group scan").
+        debug_assert!(queue.back().is_none_or(|b| b.arrival <= now));
+        queue.push(q, &self.banks);
         self.queues_dirty = true;
+    }
+
+    /// Moves the event clock up to `cycle` if it lags behind.
+    ///
+    /// A channel the system skipped (module docs, "Channel calendar") has not advanced its
+    /// clock through the idle ticks it missed; the system calls this before an enqueue so
+    /// the next scan starts where a lockstep walk would.
+    pub fn advance_clock(&mut self, cycle: u64) {
+        self.next_unprocessed = self.next_unprocessed.max(cycle);
     }
 
     /// Number of requests waiting or in flight inside this controller, including accesses
     /// whose DRAM commands have issued but whose completions have not been drained yet.
     pub fn pending(&self) -> usize {
-        self.read_queue.len() + self.write_queue.len() + self.completed.len()
+        self.read_queue.len()
+            + self.write_queue.len()
+            + self.read_lane.len()
+            + self.write_lane.len()
     }
 
     /// Row-buffer statistics accumulated so far.
@@ -314,16 +349,30 @@ impl ChannelController {
     /// Moves completions with `complete_cycle <= now` into `out`, ordered by completion
     /// cycle with same-cycle ties in acceptance order.
     ///
-    /// Completions live in a min-heap keyed by (cycle, sequence), so a drain of `k` out of
-    /// `n` scheduled completions costs `O(k log n)` and allocates nothing beyond what
-    /// `Vec::push` on the caller's buffer requires.
+    /// Each lane is already in drain order, so a drain merges the two lane heads by
+    /// (cycle, sequence) and allocates nothing beyond what `Vec::push` on the caller's
+    /// buffer requires.
     pub fn drain_completed(&mut self, now: u64, out: &mut Vec<ChannelCompletion>) {
-        while let Some(top) = self.completed.peek() {
-            if top.0.completion.complete_cycle.as_u64() > now {
-                break;
+        let key = |c: &ChannelCompletion| (c.completion.complete_cycle.as_u64(), c.seq);
+        loop {
+            let lane = match (self.read_lane.front(), self.write_lane.front()) {
+                (Some(r), Some(w)) => {
+                    if key(r) < key(w) {
+                        &mut self.read_lane
+                    } else {
+                        &mut self.write_lane
+                    }
+                }
+                (Some(_), None) => &mut self.read_lane,
+                (None, Some(_)) => &mut self.write_lane,
+                (None, None) => return,
+            };
+            match lane.front() {
+                Some(c) if c.completion.complete_cycle.as_u64() <= now => {
+                    out.extend(lane.pop_front());
+                }
+                _ => return,
             }
-            let entry = self.completed.pop().expect("peeked entry exists");
-            out.push(entry.0);
         }
     }
 
@@ -397,6 +446,8 @@ impl ChannelController {
             self.blocked_until = self.blocked_until.max(end);
             self.next_refresh += self.timing.refi;
             self.winner = None;
+            self.read_queue.rows_closed();
+            self.write_queue.rows_closed();
         }
     }
 
@@ -411,7 +462,7 @@ impl ChannelController {
             self.update_drain_mode();
             let from_writes = self.pick_source();
             let cached = if use_cache { self.winner } else { None };
-            let Some((best, start_cycle)) = self.select(now, from_writes, cached) else {
+            let Some((best, start_cycle)) = self.select(now, from_writes, cached, use_cache) else {
                 return NO_ISSUE;
             };
             // The request is committed once its *first* DRAM command (precharge or activate
@@ -424,7 +475,7 @@ impl ChannelController {
                 if use_cache {
                     self.winner = Some(CachedWinner {
                         from_writes,
-                        idx: best.idx,
+                        best,
                         scanned: self.queue(from_writes).len(),
                     });
                 }
@@ -458,7 +509,7 @@ impl ChannelController {
     }
 
     /// The write queue if `from_writes`, else the read queue.
-    fn queue(&self, from_writes: bool) -> &VecDeque<QueuedRequest> {
+    fn queue(&self, from_writes: bool) -> &RequestQueue {
         if from_writes {
             &self.write_queue
         } else {
@@ -471,7 +522,9 @@ impl ChannelController {
     /// cycle of the first command in its sequence.
     ///
     /// A valid `cached` winner of this queue seeds the scan, which then evaluates only the
-    /// entries enqueued after it was cached (module docs, "Winner cache").
+    /// entries enqueued after it was cached (module docs, "Winner cache"). Of those it
+    /// evaluates only the oldest entry of each (bank, row hit) group (module docs, "Group
+    /// scan").
     ///
     /// For every candidate the computed start cycle is `max(now, E)` where `E` is a maximum
     /// of deadlines that do not depend on `now`; this is what makes the returned start cycle
@@ -481,25 +534,65 @@ impl ChannelController {
         now: u64,
         from_writes: bool,
         cached: Option<CachedWinner>,
+        grouped: bool,
     ) -> Option<(Candidate, u64)> {
         let queue = self.queue(from_writes);
-        // FCFS only ever considers the head of the queue.
-        let end = if self.config.fr_fcfs {
-            queue.len()
-        } else {
-            queue.len().min(1)
-        };
         let floors = self.scan_floors(now, from_writes);
         // `idx < scanned` holds by construction, so the length check keeps `idx` in range.
         let cached = cached.filter(|c| c.from_writes == from_writes && c.scanned <= queue.len());
-        let (mut best, first_new) = match cached {
-            Some(c) => (Some(self.evaluate(c.idx, &queue[c.idx], floors)), c.scanned),
-            None => (None, 0),
-        };
-        for (i, q) in queue.range(first_new.min(end)..end).enumerate() {
-            let candidate = self.evaluate(first_new + i, q, floors);
+        let mut best: Option<Candidate> = None;
+        let mut first_new = 0;
+        let consider = |best: &mut Option<Candidate>, idx: usize, outcome: RowOutcome| {
+            let candidate = self.evaluate(idx, &queue[idx], outcome, floors);
             if best.is_none_or(|b| candidate.beats(&b, self.config.fr_fcfs)) {
-                best = Some(candidate);
+                *best = Some(candidate);
+            }
+        };
+        let classify = |idx: usize| {
+            self.banks
+                .classify(queue[idx].bank as usize, queue[idx].row)
+        };
+        if let Some(c) = cached {
+            debug_assert!(
+                {
+                    let mut again = None;
+                    consider(&mut again, c.best.idx, classify(c.best.idx));
+                    again == Some(c.best)
+                },
+                "the cached winner's key moved"
+            );
+            best = Some(c.best);
+            first_new = c.scanned;
+        }
+        if !self.config.fr_fcfs {
+            // FCFS only ever considers the head of the queue.
+            if first_new == 0 && !queue.is_empty() {
+                consider(&mut best, 0, classify(0));
+            }
+        } else if grouped && queue.indexed() {
+            debug_assert!(queue.index_matches(&self.banks));
+            // Only the oldest entry of each (bank, row hit) group can win, and any row hit
+            // beats every entry that is not one.
+            let fresh = positions(first_new, queue.len());
+            let hits = queue.hit_positions() & fresh;
+            let cached_hit = best.is_some_and(|b| b.outcome == RowOutcome::Hit);
+            let (mut pending, hit) = if hits != 0 || cached_hit {
+                (hits, true)
+            } else {
+                (fresh & !queue.hit_positions(), false)
+            };
+            while pending != 0 {
+                let idx = pending.trailing_zeros() as usize;
+                pending &= !queue.bank_positions(queue[idx].bank);
+                consider(
+                    &mut best,
+                    idx,
+                    if hit { RowOutcome::Hit } else { classify(idx) },
+                );
+            }
+        } else {
+            for idx in first_new..queue.len() {
+                consider(&mut best, idx, classify(idx));
             }
         }
         best.map(|b| {
@@ -529,19 +622,25 @@ impl ChannelController {
         }
     }
 
-    /// Evaluates queue entry `idx` at the scan whose shared floors are `floors`.
-    fn evaluate(&self, idx: usize, q: &QueuedRequest, floors: ScanFloors) -> Candidate {
-        let bank = q.bank as usize;
+    /// Evaluates queue entry `idx`, whose row outcome is `outcome`, at the scan whose shared
+    /// floors are `floors`.
+    fn evaluate(
+        &self,
+        idx: usize,
+        q: &QueuedRequest,
+        outcome: RowOutcome,
+        floors: ScanFloors,
+    ) -> Candidate {
         let not_before = floors.activate.max(self.act_floor[q.rank as usize]);
         let column = self
             .banks
-            .earliest_column(bank, q.row, not_before, &self.timing)
+            .column_for(q.bank as usize, outcome, not_before, &self.timing)
             .max(q.arrival)
             .max(floors.column);
         Candidate {
             idx,
             column,
-            outcome: self.banks.classify(bank, q.row),
+            outcome,
             arrival: q.arrival,
         }
     }
@@ -572,19 +671,18 @@ impl ChannelController {
     fn issue(&mut self, idx: usize, column_cycle: u64, outcome: RowOutcome, from_writes: bool) {
         self.winner = None;
         let q = if from_writes {
-            self.write_queue
-                .remove(idx)
-                .expect("selected index is valid")
+            self.write_queue.remove(idx)
         } else {
-            self.read_queue
-                .remove(idx)
-                .expect("selected index is valid")
+            self.read_queue.remove(idx)
         };
         let is_write = q.request.kind.is_write();
         self.banks
             .access(q.bank as usize, q.row, column_cycle, is_write, &self.timing);
 
         if outcome != RowOutcome::Hit {
+            // The bank opened a new row: its queued entries change groups.
+            self.read_queue.row_opened(q.bank, q.row);
+            self.write_queue.row_opened(q.bank, q.row);
             // Record the activate for tRRD / tFAW tracking.
             self.record_activate(
                 q.rank as usize,
@@ -610,7 +708,15 @@ impl ChannelController {
         } else {
             data_end + self.timing.overhead
         };
-        self.completed.push(PendingCompletion(ChannelCompletion {
+        let lane = if is_write {
+            &mut self.write_lane
+        } else {
+            &mut self.read_lane
+        };
+        debug_assert!(lane
+            .back()
+            .is_none_or(|c| c.completion.complete_cycle.as_u64() < complete_cycle));
+        lane.push_back(ChannelCompletion {
             completion: Completion {
                 id: q.request.id,
                 addr: q.request.addr,
@@ -621,7 +727,7 @@ impl ChannelController {
             },
             outcome,
             seq: q.seq,
-        }));
+        });
     }
 
     /// The earliest cycle after `now` at which this controller's observable state can
@@ -630,44 +736,68 @@ impl ChannelController {
     /// later, so the bound is never late).
     ///
     /// The returned cycle is exact while the queues stay unchanged. After an enqueue it is
-    /// `now + 1`, early but never late: the next `tick` compares the arrivals against the
-    /// cached winner and recomputes the bound, so a stale value costs one extra wake-up,
-    /// never a missed completion.
+    /// `now + 1` plus the shortest completion path, early but never late: the next `tick`
+    /// compares the arrivals against the cached winner and recomputes the bound, so a stale
+    /// value costs one extra wake-up, never a missed completion.
     pub fn next_event(&self, now: u64) -> Option<u64> {
-        let mut next = self
-            .completed
-            .peek()
-            .map(|p| p.0.completion.complete_cycle.as_u64().max(now + 1));
-        if !self.read_queue.is_empty() || !self.write_queue.is_empty() {
-            // The last tick already computed the exact next command-issue cycle; reuse it
-            // instead of re-running the FR-FCFS scan. New arrivals since then invalidate
-            // the bound, and `now + 1` requests one tick to rebuild it — exactly the cycle
-            // at which a fresh request could first issue anyway.
-            let e = if self.queues_dirty {
-                now + 1
-            } else {
-                self.cached_next_issue
-            };
-            // With a full queue the issuer may be waiting for a slot, and slots free
-            // exactly at command issues — wake it then. Otherwise only completions are
-            // observable, and every not-yet-issued command completes no earlier than its
-            // issue plus the shortest column-to-completion path — min over the write ack
-            // (CWL + burst) and the read return (CL + burst + overhead) — so the wake-up
-            // can skip the issue itself.
-            let full = self.read_queue.len() >= self.config.read_queue_depth
-                || self.write_queue.len() >= self.config.write_queue_depth;
-            let e = if full {
-                e
-            } else {
-                let min_completion_path = (self.timing.cwl)
-                    .min(self.timing.cl + self.timing.overhead)
-                    + self.timing.burst;
-                e.saturating_add(min_completion_path)
-            };
-            let e = e.max(now + 1);
-            next = Some(next.map_or(e, |n| n.min(e)));
+        match self.event_due(now) {
+            NO_ISSUE => None,
+            due => Some(due.max(now + 1)),
         }
-        next
+    }
+
+    /// [`ChannelController::next_event`] before it is clamped to `now + 1`, or `u64::MAX`
+    /// when nothing is scheduled or queued. It depends on `now` only while the queues are
+    /// dirty, that is between an enqueue at `now` and the next tick.
+    pub fn event_due(&self, now: u64) -> u64 {
+        let lane_head = |lane: &VecDeque<ChannelCompletion>| {
+            lane.front()
+                .map_or(NO_ISSUE, |c| c.completion.complete_cycle.as_u64())
+        };
+        let next = lane_head(&self.read_lane).min(lane_head(&self.write_lane));
+        if self.read_queue.is_empty() && self.write_queue.is_empty() {
+            return next;
+        }
+        // The last tick already computed the exact next command-issue cycle; reuse it
+        // instead of re-running the FR-FCFS scan. New arrivals since then invalidate the
+        // bound, and `now + 1` requests one tick to rebuild it — exactly the cycle at which a
+        // fresh request could first issue anyway.
+        let issue = if self.queues_dirty {
+            now + 1
+        } else {
+            self.cached_next_issue
+        };
+        // With a full queue the issuer may be waiting for a slot, and slots free exactly at
+        // command issues — wake it then. Otherwise only completions are observable, and
+        // every not-yet-issued command completes no earlier than its issue plus the shortest
+        // column-to-completion path — min over the write ack (CWL + burst) and the read
+        // return (CL + burst + overhead) — so the wake-up can skip the issue itself.
+        let full = self.read_queue.len() >= self.config.read_queue_depth
+            || self.write_queue.len() >= self.config.write_queue_depth;
+        let issue = if full {
+            issue
+        } else {
+            let min_completion_path =
+                (self.timing.cwl).min(self.timing.cl + self.timing.overhead) + self.timing.burst;
+            issue.saturating_add(min_completion_path)
+        };
+        next.min(issue)
+    }
+
+    /// The first cycle at which [`ChannelController::tick`] does more than move the event
+    /// clock: now while arrivals are unscanned, else the cached next issue or refresh
+    /// deadline. `u64::MAX` with both queues empty, because a refresh of an idle channel can
+    /// wait for the next arrival (module docs, "Channel calendar").
+    pub fn tick_due(&self) -> u64 {
+        if self.queues_dirty {
+            0
+        } else if self.read_queue.is_empty() && self.write_queue.is_empty() {
+            NO_ISSUE
+        } else if self.timing.rfc == 0 {
+            self.cached_next_issue
+        } else {
+            self.cached_next_issue.min(self.next_refresh)
+        }
     }
 }
 
@@ -966,11 +1096,11 @@ mod tests {
             reference.tick_reference(cycle);
             if cycle == 1 {
                 let cached = ctrl.winner.expect("the miss is not ready at cycle 1");
-                assert_eq!(cached.idx, 0, "the miss is the cached winner");
+                assert_eq!(cached.best.idx, 0, "the miss is the cached winner");
             }
         }
         assert_eq!(
-            ctrl.winner.map(|w| w.idx),
+            ctrl.winner.map(|w| w.best.idx),
             Some(1),
             "the row hit replaces the cached miss"
         );

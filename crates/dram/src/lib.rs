@@ -37,12 +37,17 @@
 //! * **One full FR-FCFS scan per issued command.** A scan caches its not-yet-ready winner;
 //!   until a command issues, a refresh fires or the served queue switches, the next scan
 //!   compares only the new arrivals against it (`controller` module docs, "Winner cache").
+//!   A scan evaluates only the oldest entry of each (bank, row hit) group, found through
+//!   per-bank bitmasks over queue positions ("Group scan").
+//! * **Visit only what is due.** [`DramSystem`] keeps a calendar of per-channel due cycles,
+//!   so a tick visits only the channels with a command, refresh or completion due, and
+//!   `next_event` is one minimum over the channels ("Channel calendar").
 //! * **Flat state, allocation-free steady state.** Per-bank timing state lives in
 //!   [`bank::BankArray`], a structure of arrays keyed by the flat `(rank, bank)` index, so
 //!   the FR-FCFS scan walks dense `Vec<u64>` columns; the per-rank tFAW history is a flat
-//!   four-entry ring; scheduled completions sit in a min-heap keyed by (completion cycle,
-//!   acceptance sequence), popped directly into the caller's reusable drain buffer. After
-//!   warm-up, the issue → complete → drain cycle performs no heap allocation.
+//!   four-entry ring; scheduled completions sit in two in-order lanes per channel, merged
+//!   directly into the system's reusable drain buffer. After warm-up, the issue → complete
+//!   → drain cycle performs no heap allocation.
 //!
 //! [`MemoryBackend::next_event`]: mess_types::MemoryBackend::next_event
 //!
@@ -71,6 +76,7 @@ pub mod address;
 pub mod approx;
 pub mod bank;
 pub mod controller;
+mod queue;
 pub mod system;
 pub mod timing;
 

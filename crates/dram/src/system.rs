@@ -6,8 +6,7 @@ use crate::bank::RowOutcome;
 use crate::controller::{ChannelCompletion, ChannelController, ControllerConfig};
 use crate::timing::{DramPreset, DramTiming};
 use mess_types::{
-    Bandwidth, Completion, CompletionQueue, Cycle, Frequency, IssueOutcome, MemoryBackend,
-    MemoryStats, Request,
+    Bandwidth, Completion, Cycle, Frequency, IssueOutcome, MemoryBackend, MemoryStats, Request,
 };
 use serde::{Deserialize, Serialize};
 
@@ -48,17 +47,31 @@ impl DramConfig {
 }
 
 /// A multi-channel DRAM memory system.
+///
+/// The system keeps a calendar of its channels (`tick_due`, `event_due`; see the
+/// [`crate::controller`] docs, "Channel calendar"), so `tick` visits only the channels with
+/// a command, a refresh or a completion due and `next_event` is one minimum over the
+/// channel count.
 #[derive(Debug)]
 pub struct DramSystem {
     config: DramConfig,
     mapping: AddressMapping,
     channels: Vec<ChannelController>,
+    /// Per channel, [`ChannelController::tick_due`] as of the channel's last change.
+    tick_due: Vec<u64>,
+    /// Per channel, [`ChannelController::event_due`] as of the channel's last change.
+    event_due: Vec<u64>,
     now: Cycle,
+    /// One past the last ticked cycle: the event clock of every channel a lockstep walk
+    /// would have ticked.
+    synced: u64,
     stats: MemoryStats,
     name: String,
-    scratch: Vec<ChannelCompletion>,
-    /// Completions already collected from the channels, ordered for draining.
-    ready: CompletionQueue,
+    /// Completions collected from the channels and not yet drained; all are due.
+    ready: Vec<ChannelCompletion>,
+    /// Channel drains appended to `ready` since the last system drain. Each one is in
+    /// (cycle, sequence) order, so `ready` needs a sort only when there are two or more.
+    ready_runs: usize,
     /// Acceptance sequence counter, threaded through the controllers for drain-order ties.
     accept_seq: u64,
 }
@@ -74,7 +87,7 @@ impl DramSystem {
             timing.banks_per_channel,
             timing.row_bytes,
         );
-        let channels = (0..config.channels)
+        let channels: Vec<ChannelController> = (0..config.channels)
             .map(|_| {
                 ChannelController::new(
                     cycles,
@@ -87,12 +100,15 @@ impl DramSystem {
         let name = format!("{} x{}", timing.name, config.channels);
         DramSystem {
             mapping,
+            tick_due: vec![u64::MAX; channels.len()],
+            event_due: vec![u64::MAX; channels.len()],
             channels,
             now: Cycle::ZERO,
+            synced: 0,
             stats: MemoryStats::default(),
             name,
-            scratch: Vec::new(),
-            ready: CompletionQueue::new(),
+            ready: Vec::new(),
+            ready_runs: 0,
             accept_seq: 0,
             config,
         }
@@ -129,31 +145,43 @@ impl DramSystem {
     /// on random traffic and asserts bit-identical per-request completion cycles. It is far
     /// too slow for real runs.
     pub fn tick_reference(&mut self, now: Cycle) {
+        let cycle = self.advance_to(now);
+        for i in 0..self.channels.len() {
+            self.channels[i].tick_reference(cycle);
+            self.collect(i, cycle);
+        }
+    }
+
+    /// Moves the system clock to `now` (never backwards) and returns the cycle to tick.
+    fn advance_to(&mut self, now: Cycle) -> u64 {
         if now > self.now {
             self.now = now;
         }
         let cycle = self.now.as_u64();
-        for ch in &mut self.channels {
-            ch.tick_reference(cycle);
-        }
-        self.collect();
+        self.synced = cycle + 1;
+        cycle
     }
 
-    fn collect(&mut self) {
-        let now = self.now.as_u64();
-        for ch in &mut self.channels {
-            self.scratch.clear();
-            ch.drain_completed(now, &mut self.scratch);
-            for cc in &self.scratch {
-                // Row-buffer outcome statistics are folded into the shared stats block so that
-                // experiments (Fig. 7) read them through the common interface.
-                match cc.outcome {
-                    RowOutcome::Hit => self.stats.row_buffer.hits += 1,
-                    RowOutcome::Empty => self.stats.row_buffer.empties += 1,
-                    RowOutcome::Miss => self.stats.row_buffer.misses += 1,
-                }
-                // Recorded into the stats at drain time by the completion queue.
-                self.ready.schedule_with_seq(cc.seq, cc.completion);
+    /// Moves channel `i`'s completions due at `cycle` into `ready` and refreshes the
+    /// channel's calendar entries.
+    fn collect(&mut self, i: usize, cycle: u64) {
+        let ch = &mut self.channels[i];
+        let start = self.ready.len();
+        ch.drain_completed(cycle, &mut self.ready);
+        self.tick_due[i] = ch.tick_due();
+        self.event_due[i] = ch.event_due(cycle);
+        let collected = &self.ready[start..];
+        if collected.is_empty() {
+            return;
+        }
+        self.ready_runs += 1;
+        for cc in collected {
+            // Row-buffer outcome statistics are folded into the shared stats block so that
+            // experiments (Fig. 7) read them through the common interface.
+            match cc.outcome {
+                RowOutcome::Hit => self.stats.row_buffer.hits += 1,
+                RowOutcome::Empty => self.stats.row_buffer.empties += 1,
+                RowOutcome::Miss => self.stats.row_buffer.misses += 1,
             }
         }
     }
@@ -161,46 +189,65 @@ impl DramSystem {
 
 impl MemoryBackend for DramSystem {
     fn tick(&mut self, now: Cycle) {
-        if now > self.now {
-            self.now = now;
+        let cycle = self.advance_to(now);
+        for i in 0..self.channels.len() {
+            // A channel with neither a command, a refresh nor a completion due would only
+            // move its event clock; `issue` catches that clock up before an enqueue.
+            if self.tick_due[i] <= cycle {
+                self.channels[i].tick(cycle);
+            } else if self.event_due[i] > cycle {
+                continue;
+            }
+            self.collect(i, cycle);
         }
-        let cycle = self.now.as_u64();
-        for ch in &mut self.channels {
-            ch.tick(cycle);
-        }
-        self.collect();
     }
 
     fn issue(&mut self, batch: &[Request]) -> IssueOutcome {
+        let now = self.now.as_u64();
         for (i, request) in batch.iter().enumerate() {
             let coord = self.mapping.decode(request.addr);
-            let ch = &mut self.channels[coord.channel as usize];
+            let c = coord.channel as usize;
+            let ch = &mut self.channels[c];
             if !ch.can_accept(request.kind) {
                 self.stats.record_rejection();
                 return IssueOutcome { accepted: i };
             }
-            ch.enqueue(*request, coord, self.now.as_u64(), self.accept_seq);
+            ch.advance_clock(self.synced);
+            ch.enqueue(*request, coord, now, self.accept_seq);
+            // The arrival makes the channel due at the next tick.
+            self.tick_due[c] = ch.tick_due();
+            self.event_due[c] = ch.event_due(now);
             self.accept_seq += 1;
         }
         IssueOutcome::all(batch.len())
     }
 
     fn drain_completed(&mut self, out: &mut Vec<Completion>) -> usize {
-        self.ready.drain_due(self.now, &mut self.stats, out)
+        if self.ready_runs > 1 {
+            self.ready
+                .sort_unstable_by_key(|cc| (cc.completion.complete_cycle, cc.seq));
+        }
+        self.ready_runs = 0;
+        let drained = self.ready.len();
+        for cc in self.ready.drain(..) {
+            self.stats.record_completion(&cc.completion);
+            out.push(cc.completion);
+        }
+        drained
     }
 
     fn next_event(&self) -> Option<Cycle> {
-        // Every controller reports the exact cycle its next DRAM command will issue (or its
-        // soonest scheduled data return), so the issuer can jump straight to the earliest
-        // one — the detailed model no longer degrades cycle-skipping runs to lockstep.
+        // Every channel's calendar entry is the exact cycle its next DRAM command issues (or
+        // its soonest scheduled data return), so the issuer can jump straight to the earliest
+        // one. Collected but undrained completions are due already.
         let now = self.now.as_u64();
-        let mut next = self.ready.next_ready().map(|c| c.as_u64().max(now + 1));
-        for ch in &self.channels {
-            if let Some(e) = ch.next_event(now) {
-                next = Some(next.map_or(e, |n| n.min(e)));
-            }
-        }
-        next.map(Cycle::new)
+        let ready = if self.ready.is_empty() {
+            u64::MAX
+        } else {
+            now + 1
+        };
+        let next = self.event_due.iter().fold(ready, |a, &b| a.min(b));
+        (next != u64::MAX).then(|| Cycle::new(next.max(now + 1)))
     }
 
     fn pending(&self) -> usize {
