@@ -11,14 +11,16 @@
 //! This is why a 100 %-store kernel generates 50 %-read/50 %-write memory traffic (paper
 //! §II-A) and why Mess bandwidth exceeds STREAM's application-level estimate (§III).
 //!
-//! Replacement is exact LRU. Each way carries one byte of recency state — its rank among
-//! the set's valid ways — so a line costs 9 bytes of model state (an 8-byte tag word plus
-//! the rank), and associativity is bounded at [`MAX_WAYS`].
+//! Replacement is exact LRU, kept as order rather than as per-way state: each set stores its
+//! lines most recently used first, one packed field per line (the tag value plus a valid and
+//! a dirty bit), so a line costs 6 bytes on Skylake's geometry and never more than 8.
+//! Associativity is bounded at [`MAX_WAYS`].
 
 use mess_types::CACHE_LINE_BYTES;
 use serde::{Deserialize, Serialize};
 
-/// The largest associativity the model supports: a way's LRU rank is one byte.
+/// The largest associativity the model supports: every access moves up to `ways − 1` packed
+/// fields to keep its set in recency order, so the cost of an access grows with the ways.
 pub const MAX_WAYS: u32 = 256;
 
 /// Result of a cache access.
@@ -113,53 +115,67 @@ impl CacheStats {
     }
 }
 
-/// Valid marker folded into a stored tag word (bit 62).
-///
-/// A tag value is `line / sets` with `line = addr / 64`, so it never exceeds 58 bits and the
-/// two top bits are free for metadata. Invalid ways store `0` (no valid bit), which can
-/// never collide with a real line.
-const TAG_VALID: u64 = 1 << 62;
-/// Dirty marker folded into a stored tag word (bit 63).
-const TAG_DIRTY: u64 = 1 << 63;
-/// Mask of the tag value itself.
-const TAG_VALUE: u64 = TAG_VALID - 1;
-
-/// Rank of an invalid way: above every valid way's rank in a set with room, so a fill takes
-/// the first invalid way.
-const RANK_INVALID: u8 = u8::MAX;
+/// Valid bit of a packed field. An invalid field is all zeros, which no line can match.
+const FIELD_VALID: u64 = 1;
+/// Dirty bit of a packed field.
+const FIELD_DIRTY: u64 = 1 << 1;
+/// The tag value sits above the two flag bits.
+const FIELD_TAG_SHIFT: u32 = 2;
+/// Bytes past the last field, so that every field's 8-byte window stays in bounds.
+const WINDOW_PAD: usize = 7;
 
 /// Panics if `ways` exceeds [`MAX_WAYS`].
 fn assert_ways_in_range(ways: u32) {
     assert!(
         ways <= MAX_WAYS,
-        "cache has {ways} ways, more than the {MAX_WAYS} a one-byte LRU rank can order"
+        "cache has {ways} ways, more than the {MAX_WAYS} the recency shift is bounded to"
     );
+}
+
+/// Bytes of one packed field for a cache of `sets` sets: the bits of the largest tag any
+/// address can have, plus the valid and dirty bits, rounded up to whole bytes, and at least
+/// half a window.
+fn field_bytes(sets: u64) -> usize {
+    let largest_tag = (u64::MAX / CACHE_LINE_BYTES) / sets;
+    let bits = u64::BITS - largest_tag.leading_zeros() + FIELD_TAG_SHIFT;
+    bits.div_ceil(8).max(4) as usize
+}
+
+/// The 8-byte little-endian window starting at `at`; a field is its low bytes.
+#[inline]
+fn read_window(bytes: &[u8], at: usize) -> u64 {
+    let mut window = [0; 8];
+    window.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(window)
 }
 
 /// A set-associative, write-allocate, write-back last-level cache model.
 ///
-/// State is stored structure-of-arrays, set-major and contiguous: one `u64` word per way
-/// (tag value + valid/dirty bits) and one `u8` LRU rank per way. The hit scan — the hottest
-/// loop in the whole engine, run once per memory instruction — therefore touches `ways * 8`
-/// contiguous bytes of tag words, and the recency update and the victim scan touch `ways`
-/// bytes of ranks.
+/// Each line is one packed field of `width` bytes, set-major and contiguous: the tag value
+/// shifted above a valid and a dirty bit, or all zeros for an empty slot. The width comes
+/// from the geometry, as the bits of the largest tag plus two: 6 bytes for Skylake's 32,768
+/// sets, 8 for a single set. A field is read and written through the 8-byte little-endian
+/// window at its offset, so the array carries 7 bytes past the last field.
 ///
-/// A valid way's rank is the number of valid ways in its set that were used more recently,
-/// so the valid ranks of a set are always exactly `0..valid`; an invalid way holds
-/// `u8::MAX`. An access to a way (a hit, or the fill of a victim) adds one to every rank
-/// below the way's old rank and sets its rank to 0. The victim is the first way with the
-/// largest rank: the first invalid way if the set has room, else the least recently used
-/// line. At [`MAX_WAYS`] ways a full set's LRU line ranks `u8::MAX` too, which is still the
-/// largest rank, so 256 ways is the bound.
+/// The order of a set's fields is its LRU state: most recently used first. The hit scan —
+/// the hottest loop in the whole engine, run once per memory instruction — walks
+/// `ways × width` contiguous bytes. A hit at slot `k` moves slots `0..k` down by one and
+/// writes the line at the front. A miss evicts the last slot, which is empty while the set
+/// has room and the least recently used line once it is full, and inserts the new line at
+/// the front after the same one-slot shift. Only the slot a line sits in differs from a
+/// per-way LRU; the writeback address comes from the tag, so nothing observes it.
 #[derive(Debug, Clone)]
 pub struct LastLevelCache {
     config: CacheConfig,
-    sets: usize,
-    /// Stored tag words, `tags[set * ways..(set + 1) * ways]`: `TAG_VALID | dirty | value`,
-    /// or `0` for an invalid way.
-    tags: Vec<u64>,
-    /// LRU ranks parallel to `tags`; `RANK_INVALID` for an invalid way.
-    ranks: Vec<u8>,
+    /// `log2` of the set count ([`CacheConfig::sets`] is a power of two).
+    set_bits: u32,
+    /// Bytes per packed field.
+    width: usize,
+    /// The bits of a field within its window.
+    field_mask: u64,
+    /// The fields of set `s` at `fields[s * ways * width..(s + 1) * ways * width]`, most
+    /// recently used first, followed by [`WINDOW_PAD`] bytes.
+    fields: Vec<u8>,
     stats: CacheStats,
 }
 
@@ -172,12 +188,14 @@ impl LastLevelCache {
     pub fn new(config: CacheConfig) -> Self {
         assert_ways_in_range(config.ways);
         let sets = config.sets();
+        let width = field_bytes(sets as u64);
         let lines = sets * config.ways as usize;
         LastLevelCache {
             config,
-            sets,
-            tags: vec![0; lines],
-            ranks: vec![RANK_INVALID; lines],
+            set_bits: sets.trailing_zeros(),
+            width,
+            field_mask: u64::MAX >> (64 - 8 * width),
+            fields: vec![0; lines * width + WINDOW_PAD],
             stats: CacheStats::default(),
         }
     }
@@ -190,25 +208,6 @@ impl LastLevelCache {
     /// Accumulated statistics.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    fn index(&self, addr: u64) -> (usize, u64) {
-        let line = addr / CACHE_LINE_BYTES;
-        let set = (line as usize) & (self.sets - 1);
-        let tag = line / self.sets as u64;
-        (set, tag)
-    }
-
-    /// Makes `way` its set's most recently used way: every way used more recently than it
-    /// ages by one rank. Invalid ways are never below the old rank, so they stay invalid,
-    /// and no rank can pass `u8::MAX`.
-    #[inline]
-    fn touch(ranks: &mut [u8], way: usize) {
-        let old = ranks[way];
-        for rank in ranks.iter_mut() {
-            *rank += u8::from(*rank < old);
-        }
-        ranks[way] = 0;
     }
 
     /// Performs a load or store access.
@@ -227,59 +226,58 @@ impl LastLevelCache {
                 writeback: None,
             };
         }
-        let (set, tag) = self.index(addr);
-        let sets = self.sets;
+        let line = addr / CACHE_LINE_BYTES;
+        let set = line & ((1 << self.set_bits) - 1);
         let ways = self.config.ways as usize;
-        let base = set * ways;
-        let tags = &mut self.tags[base..base + ways];
-        let ranks = &mut self.ranks[base..base + ways];
+        let width = self.width;
+        let mask = self.field_mask;
+        let start = set as usize * ways * width;
+        let fields = &mut self.fields[start..start + ways * width + WINDOW_PAD];
+        let wanted = (line >> self.set_bits) << FIELD_TAG_SHIFT | FIELD_VALID;
+        let dirty = if is_store { FIELD_DIRTY } else { 0 };
 
-        // Hit path: one masked compare per way over a contiguous word array.
-        let stored = TAG_VALID | tag;
-        if let Some(way) = tags.iter().position(|w| *w & !TAG_DIRTY == stored) {
-            if is_store {
-                tags[way] |= TAG_DIRTY;
-                self.stats.store_hits += 1;
-            } else {
-                self.stats.load_hits += 1;
+        // Hit path: one masked compare per slot over contiguous fields.
+        let found = (0..ways).find_map(|slot| {
+            let field = read_window(fields, slot * width) & mask;
+            (field & !FIELD_DIRTY == wanted).then_some((slot, field))
+        });
+        let (slot, front, writeback) = match found {
+            Some((slot, field)) => (slot, field | dirty, None),
+            None => {
+                // Miss: the last slot goes — empty while the set has room, else the LRU line.
+                let slot = ways - 1;
+                let victim = read_window(fields, slot * width) & mask;
+                let writeback = (victim & FIELD_DIRTY != 0).then(|| {
+                    let victim_line = (victim >> FIELD_TAG_SHIFT) << self.set_bits | set;
+                    victim_line * CACHE_LINE_BYTES
+                });
+                (slot, wanted | dirty, writeback)
             }
-            Self::touch(ranks, way);
-            return AccessResult {
-                hit: true,
-                writeback: None,
-            };
-        }
-
-        // Miss: the victim is the first way with the largest rank — the first invalid way,
-        // else the least recently used one.
-        let mut victim = 0;
-        for (way, &rank) in ranks.iter().enumerate().skip(1) {
-            if rank > ranks[victim] {
-                victim = way;
-            }
-        }
-        let old = tags[victim];
-        let writeback = if old & TAG_DIRTY != 0 {
-            // Reconstruct the victim's address from its tag value and this set index.
-            Some(((old & TAG_VALUE) * sets as u64 + set as u64) * CACHE_LINE_BYTES)
-        } else {
-            None
         };
-        tags[victim] = stored | if is_store { TAG_DIRTY } else { 0 };
-        Self::touch(ranks, victim);
+        // The front window is rebuilt from its value before the shift, not read back from
+        // bytes the shift just stored: past the first field it now holds the head field
+        // moved down one slot (a field has at least 4 bytes, so that covers the window), or
+        // is unchanged on a hit at the front.
+        let head = read_window(fields, 0);
+        fields.copy_within(..slot * width, width);
+        let moved = match slot {
+            0 => head,
+            _ => head.checked_shl(8 * width as u32).unwrap_or(0),
+        };
+        let window = moved & !mask | front;
+        fields[..8].copy_from_slice(&window.to_le_bytes());
 
-        if is_store {
-            self.stats.store_misses += 1;
-        } else {
-            self.stats.load_misses += 1;
+        let hit = found.is_some();
+        match (hit, is_store) {
+            (true, true) => self.stats.store_hits += 1,
+            (true, false) => self.stats.load_hits += 1,
+            (false, true) => self.stats.store_misses += 1,
+            (false, false) => self.stats.load_misses += 1,
         }
         if writeback.is_some() {
             self.stats.writebacks += 1;
         }
-        AccessResult {
-            hit: false,
-            writeback,
-        }
+        AccessResult { hit, writeback }
     }
 }
 
@@ -324,18 +322,41 @@ mod tests {
         let _ = LastLevelCache::new(config);
     }
 
+    /// Skylake's 33 MiB, 11-way LLC: 32,768 sets of 11 ways. Returns the cache, its line
+    /// count and the bytes of line state it keeps.
+    fn skylake_llc() -> (LastLevelCache, usize, usize) {
+        let c = LastLevelCache::new(CacheConfig::new(33 * 1024 * 1024, 11));
+        let lines = c.config().sets() * 11;
+        assert_eq!(lines, 360_448);
+        let bytes = std::mem::size_of_val(c.fields.as_slice());
+        (c, lines, bytes)
+    }
+
     #[test]
     fn skylake_llc_keeps_at_most_nine_bytes_of_state_per_line() {
-        // Skylake's 33 MiB, 11-way LLC: 32,768 sets of 11 ways.
-        let c = LastLevelCache::new(CacheConfig::new(33 * 1024 * 1024, 11));
-        let lines = c.sets * 11;
-        assert_eq!(lines, 360_448);
-        let bytes =
-            std::mem::size_of_val(c.tags.as_slice()) + std::mem::size_of_val(c.ranks.as_slice());
+        let (_, lines, bytes) = skylake_llc();
         assert!(
             bytes <= 9 * lines,
             "{bytes} bytes of tag and LRU state for {lines} lines"
         );
+    }
+
+    #[test]
+    fn skylake_llc_keeps_six_bytes_of_state_per_line() {
+        let (c, lines, bytes) = skylake_llc();
+        assert_eq!(c.width, 6);
+        assert_eq!(bytes, 6 * lines + WINDOW_PAD, "{lines} lines");
+    }
+
+    #[test]
+    fn field_width_follows_the_largest_tag() {
+        // 58-bit line numbers: a 58-, 50-, 43- or 36-bit tag plus the two flag bits.
+        assert_eq!(field_bytes(1), 8);
+        assert_eq!(field_bytes(256), 7);
+        assert_eq!(field_bytes(32_768), 6);
+        assert_eq!(field_bytes(1 << 22), 5);
+        // Never under half a window: the front-window rebuild relies on it.
+        assert_eq!(field_bytes(1 << 40), 4);
     }
 
     #[test]
@@ -425,9 +446,18 @@ mod tests {
         );
     }
 
-    /// The timestamp LRU the rank scheme replaced, kept as the reference it must match: one
-    /// `u64` timestamp per way (0 for invalid ways, a global access clock from 1 for valid
-    /// ones); the victim is the way with the smallest timestamp, first index on a tie.
+    /// Valid marker of the reference's tag word (bit 62). A tag value is `line / sets`, at
+    /// most 58 bits, so the two top bits are free; invalid ways store `0`.
+    const TAG_VALID: u64 = 1 << 62;
+    /// Dirty marker of the reference's tag word (bit 63).
+    const TAG_DIRTY: u64 = 1 << 63;
+    /// Mask of the tag value itself.
+    const TAG_VALUE: u64 = TAG_VALID - 1;
+
+    /// A per-way timestamp LRU, kept as the reference the packed recency order must match:
+    /// one `u64` tag word and one `u64` timestamp per way (0 for invalid ways, a global
+    /// access clock from 1 for valid ones); the victim is the way with the smallest
+    /// timestamp, first index on a tie.
     struct TimestampLru {
         sets: usize,
         ways: usize,
@@ -498,25 +528,45 @@ mod tests {
         }
     }
 
+    /// splitmix64's output function: spreads `x` over all 64 bits.
+    fn mix(mut x: u64) -> u64 {
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
+        #![proptest_config(ProptestConfig::with_cases(160))]
         #[test]
         fn rank_lru_matches_the_timestamp_reference(
             way_choice in 0usize..5,
-            set_bits in 0u32..3,
-            words in proptest::collection::vec(0u64..u64::MAX, 3_000..6_000),
+            set_choice in 0usize..5,
+            seed in 0u64..u64::MAX,
+            words in proptest::collection::vec(0u64..u64::MAX, 2_000..4_000),
         ) {
             let ways = [1u32, 2, 11, 16, 256][way_choice];
-            let sets = 1u64 << set_bits;
+            // 8-byte fields at 1, 2 and 4 sets, 7 bytes at 256 and 6 bytes at 32,768.
+            let sets = [1u64, 2, 4, 256, 32_768][set_choice];
             let config = CacheConfig::new(sets * ways as u64 * CACHE_LINE_BYTES, ways);
             prop_assert_eq!(config.sets() as u64, sets);
             let mut cache = LastLevelCache::new(config);
             let mut reference = TimestampLru::new(config);
-            // Lines are drawn from twice the capacity, so sets fill up, then mix hits with
-            // evictions; even the largest geometry (1,024 lines) sees 3,000+ accesses.
-            let pool = 2 * sets * ways as u64;
+            // Twice as many tags as ways, drawn from the whole tag range with both ends
+            // pinned, over up to four sets with the last one pinned: every set overflows,
+            // so accesses mix hits with evictions, and tags use every bit of the field.
+            let largest_tag = (u64::MAX / CACHE_LINE_BYTES) / sets;
+            let tags: Vec<u64> = (0..2 * ways as u64)
+                .map(|k| match k {
+                    0 => largest_tag,
+                    1 => 0,
+                    _ => mix(seed ^ k) % (largest_tag + 1),
+                })
+                .collect();
+            let set_pool = [sets - 1, mix(!seed) % sets, mix(seed + 1) % sets, 0];
             for (i, &word) in words.iter().enumerate() {
-                let addr = (word % pool) * CACHE_LINE_BYTES + (word >> 58);
+                let tag = tags[(word % tags.len() as u64) as usize];
+                let set = set_pool[((word >> 32) % 4) as usize];
+                let addr = (tag * sets + set) * CACHE_LINE_BYTES + (word >> 58);
                 let is_store = (word >> 57) & 1 == 1;
                 let got = cache.access(addr, is_store);
                 let want = reference.access(addr, is_store);

@@ -47,7 +47,9 @@
 //! (rows close, the channel is blocked), and whenever `pick_source` serves the other queue
 //! (data latency and write-to-read turnaround differ). A cached length past the current
 //! queue also forces a full scan. Hence a full scan runs once per issued command (plus one
-//! after each refresh or queue switch), not once per enqueue. The reference walk never reads
+//! after each refresh or queue switch), not once per enqueue. When nothing arrived since
+//! the cached scan, a scan would evaluate no entry and return the cached winner as it is,
+//! so the controller skips it and issues that winner once its start cycle is due. The reference walk never reads
 //! the cache, which keeps `event_equivalence` an independent oracle for it.
 //!
 //! ## Group scan
@@ -462,7 +464,23 @@ impl ChannelController {
             self.update_drain_mode();
             let from_writes = self.pick_source();
             let cached = if use_cache { self.winner } else { None };
-            let Some((best, start_cycle)) = self.select(now, from_writes, cached, use_cache) else {
+            let selected = match cached {
+                // Nothing arrived since the cached scan of this queue, so `select` would
+                // return its winner unchanged (module docs, "Winner cache").
+                Some(c)
+                    if c.from_writes == from_writes
+                        && c.scanned == self.queue(from_writes).len() =>
+                {
+                    let winner = (c.best, self.start_cycle(&c.best));
+                    debug_assert_eq!(
+                        self.select(now, from_writes, cached, use_cache),
+                        Some(winner)
+                    );
+                    Some(winner)
+                }
+                _ => self.select(now, from_writes, cached, use_cache),
+            };
+            let Some((best, start_cycle)) = selected else {
                 return NO_ISSUE;
             };
             // The request is committed once its *first* DRAM command (precharge or activate
@@ -595,14 +613,18 @@ impl ChannelController {
                 consider(&mut best, idx, classify(idx));
             }
         }
-        best.map(|b| {
-            let first_cmd_offset = match b.outcome {
-                RowOutcome::Hit => 0,
-                RowOutcome::Empty => self.timing.rcd,
-                RowOutcome::Miss => self.timing.rcd + self.timing.rp,
-            };
-            (b, b.column.saturating_sub(first_cmd_offset))
-        })
+        best.map(|b| (b, self.start_cycle(&b)))
+    }
+
+    /// The cycle of the first DRAM command of `candidate`'s sequence: its column cycle less
+    /// the precharge and activate its row outcome needs first.
+    fn start_cycle(&self, candidate: &Candidate) -> u64 {
+        let first_cmd_offset = match candidate.outcome {
+            RowOutcome::Hit => 0,
+            RowOutcome::Empty => self.timing.rcd,
+            RowOutcome::Miss => self.timing.rcd + self.timing.rp,
+        };
+        candidate.column.saturating_sub(first_cmd_offset)
     }
 
     /// The floors every candidate of one scan at `now` shares.

@@ -16,7 +16,8 @@
 //! sizing arithmetic is checked, because specs arrive from clients: a working set that
 //! overflows `u64`, a GUPS table whose power-of-two rounding overflows, a STREAM array,
 //! `lat_mem_rd` working set, GUPS table, HPCG matrix or HPCG gather vector that ends past
-//! the 62-bit packed-op address range, or a multichase working set above `u32::MAX` lines
+//! the 62-bit packed-op address range, a multichase working set above `u32::MAX` lines, or
+//! a multichase walk whose build would hold more than a 1 GiB budget
 //! is an [`MessError::InvalidConfig`], not a wrapped or truncated size, a mid-run panic or
 //! an address spilling into the op tag.
 //! The SPEC CPU2006-like suite stays on its generator (its RNG draw sequence is
@@ -27,7 +28,7 @@
 //! of every family in the `compiled_equivalence` suite, so every report, CurveSet artifact
 //! and spec digest stays byte-identical.
 
-use crate::latency::CHASE_BASE;
+use crate::latency::{chase_build_bytes, CHASE_BASE};
 use crate::random::{GUPS_BASE, HPCG_GATHER_BASE, HPCG_MATRIX_BASE};
 use crate::spec::{WorkloadSpec, MIN_STREAM_BYTES};
 use crate::spec_suite;
@@ -35,6 +36,10 @@ use crate::stream::ARRAY_C_BASE;
 use crate::{GupsConfig, HpcgConfig, LatMemRdConfig, MultichaseConfig, StreamConfig};
 use mess_cpu::{OpStream, PackedOp, VecStream};
 use mess_types::MessError;
+
+/// The most memory a multichase walk may take to build (see
+/// [`crate::latency::sattolo_chase`]); no builtin comes near it.
+const CHASE_BUILD_BUDGET: u64 = 1 << 30;
 
 /// The result of compiling one [`WorkloadSpec`] for a concrete platform: per-core streams
 /// whose hot path is block-based, plus the compile-stage materialization tally.
@@ -140,6 +145,13 @@ pub fn compile(
                     config.lines()
                 )));
             }
+            let bytes = chase_build_bytes(config.lines(), *loads);
+            if bytes > CHASE_BUILD_BUDGET {
+                return Err(MessError::InvalidConfig(format!(
+                    "multichase: building the walk takes {bytes} bytes, above the \
+                     {CHASE_BUILD_BUDGET}-byte (1 GiB) compile budget"
+                )));
+            }
             let lap = config.lines().min(*loads);
             (pad_single_core(config.stream(), cores), lap)
         }
@@ -226,11 +238,16 @@ mod tests {
     use super::*;
     use crate::stream::StreamKernel;
     use mess_cpu::Op;
+    use mess_types::CACHE_LINE_BYTES;
 
     const LLC: u64 = 1 << 20;
 
     fn rejected(spec: WorkloadSpec) -> String {
-        match compile(&spec, LLC, 2) {
+        rejected_at(spec, LLC)
+    }
+
+    fn rejected_at(spec: WorkloadSpec, llc_bytes: u64) -> String {
+        match compile(&spec, llc_bytes, 2) {
             Err(MessError::InvalidConfig(message)) => message,
             other => panic!("{spec:?} must be rejected, got {other:?}"),
         }
@@ -364,5 +381,35 @@ mod tests {
         };
         let message = rejected(spec);
         assert!(message.contains("u32::MAX"), "{message}");
+    }
+
+    #[test]
+    fn a_multichase_one_line_past_the_build_budget_is_rejected() {
+        // A full lap takes 8 bytes of packed op and 4 bytes of shuffled order per line.
+        let lines = CHASE_BUILD_BUDGET / 12;
+        assert!(chase_build_bytes(lines, lines) <= CHASE_BUILD_BUDGET);
+        let spec = WorkloadSpec::Multichase {
+            llc_multiple: 1,
+            loads: lines + 1,
+            seed: 1,
+        };
+        let message = rejected_at(spec, (lines + 1) * CACHE_LINE_BYTES);
+        assert!(message.contains("1 GiB"), "{message}");
+    }
+
+    #[test]
+    fn a_sparse_multichase_counts_the_watch_list_against_the_budget() {
+        // 2^26 − 1 loads over 2^32 − 1 lines resolve from the draws: 512 MiB of packed ops
+        // alone, but the watch list and walk take the build past the budget.
+        let (lines, loads) = (u64::from(u32::MAX), (1 << 26) - 1);
+        assert!(8 * loads < CHASE_BUILD_BUDGET);
+        assert!(chase_build_bytes(lines, loads) > CHASE_BUILD_BUDGET);
+        let spec = WorkloadSpec::Multichase {
+            llc_multiple: 1,
+            loads,
+            seed: 1,
+        };
+        let message = rejected_at(spec, lines * CACHE_LINE_BYTES);
+        assert!(message.contains("compile budget"), "{message}");
     }
 }

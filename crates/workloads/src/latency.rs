@@ -122,7 +122,7 @@ pub fn sattolo_chase(base: u64, lines: u64, loads: u64, seed: u64, label: &str) 
         .expect("a pointer chase needs between 1 and u32::MAX lines");
     let len = lines.min(loads) as usize;
     let load = |line: u32| PackedOp::dependent_load(base + line as u64 * CACHE_LINE_BYTES);
-    let body = if loads.saturating_mul(SPARSE_LINES_PER_LOAD) < lines {
+    let body = if resolves_from_draws(lines, loads) {
         walk_from_draws(n, len, seed)
             .into_iter()
             .map(load)
@@ -144,6 +144,24 @@ pub fn sattolo_chase(base: u64, lines: u64, loads: u64, seed: u64, label: &str) 
 /// stays up to 1.4× ahead even for sparse walks, but those builds take under 2 ms, and every
 /// platform's chase array is larger (4 × a 22 MiB LLC is 1.4 M lines).
 const SPARSE_LINES_PER_LOAD: u64 = 64;
+
+/// `true` if [`sattolo_chase`] resolves a walk of `loads` over `lines` from the swap draws.
+fn resolves_from_draws(lines: u64, loads: u64) -> bool {
+    loads.saturating_mul(SPARSE_LINES_PER_LOAD) < lines
+}
+
+/// The most bytes [`sattolo_chase`] holds at once for a walk of `loads` over `lines` (at
+/// most `u32::MAX`): the `min(lines, loads)` packed ops of the body, plus the shuffle's
+/// `lines`-long `u32` order, or the draw resolution's watch list and `u32` walk.
+pub(crate) fn chase_build_bytes(lines: u64, loads: u64) -> u64 {
+    let len = lines.min(loads);
+    let scratch = if resolves_from_draws(lines, loads) {
+        Watchers::bytes(len) + 4 * len
+    } else {
+        4 * lines
+    };
+    8 * len + scratch
+}
 
 /// The first `len` lines of the walk from line 0, by shuffling the whole order.
 fn walk_from_shuffle(lines: u32, len: usize, seed: u64) -> impl Iterator<Item = u32> {
@@ -250,9 +268,22 @@ impl Watchers {
     /// Marks a vacant slot; no position equals it, since positions are below `u32::MAX`.
     const VACANT: u32 = u32::MAX;
 
-    fn with_capacity(entries: usize) -> Self {
+    /// Map slots and filter bits for `entries` watched positions.
+    fn sizes(entries: u64) -> (u64, u64) {
         let slots = (entries * 2).next_power_of_two().max(2);
         let filter_bits = (entries * 64).next_power_of_two().max(64);
+        (slots, filter_bits)
+    }
+
+    /// Bytes of a watch list for `entries` positions.
+    fn bytes(entries: u64) -> u64 {
+        let (slots, filter_bits) = Self::sizes(entries);
+        slots * std::mem::size_of::<(u32, u32)>() as u64 + filter_bits / 8
+    }
+
+    fn with_capacity(entries: usize) -> Self {
+        let (slots, filter_bits) = Self::sizes(entries as u64);
+        let (slots, filter_bits) = (slots as usize, filter_bits as usize);
         Watchers {
             slots: vec![(Self::VACANT, 0); slots],
             filter: vec![0; filter_bits / 64],
