@@ -133,12 +133,11 @@ fn assert_ways_in_range(ways: u32) {
 }
 
 /// Bytes of one packed field for a cache of `sets` sets: the bits of the largest tag any
-/// address can have, plus the valid and dirty bits, rounded up to whole bytes, and at least
-/// half a window.
+/// address can have, plus the valid and dirty bits, rounded up to whole bytes.
 fn field_bytes(sets: u64) -> usize {
     let largest_tag = (u64::MAX / CACHE_LINE_BYTES) / sets;
     let bits = u64::BITS - largest_tag.leading_zeros() + FIELD_TAG_SHIFT;
-    bits.div_ceil(8).max(4) as usize
+    bits.div_ceil(8) as usize
 }
 
 /// The 8-byte little-endian window starting at `at`; a field is its low bytes.
@@ -254,18 +253,9 @@ impl LastLevelCache {
                 (slot, wanted | dirty, writeback)
             }
         };
-        // The front window is rebuilt from its value before the shift, not read back from
-        // bytes the shift just stored: past the first field it now holds the head field
-        // moved down one slot (a field has at least 4 bytes, so that covers the window), or
-        // is unchanged on a hit at the front.
-        let head = read_window(fields, 0);
+        // Keep recency order: the slots in front of `slot` move down one, the line goes first.
         fields.copy_within(..slot * width, width);
-        let moved = match slot {
-            0 => head,
-            _ => head.checked_shl(8 * width as u32).unwrap_or(0),
-        };
-        let window = moved & !mask | front;
-        fields[..8].copy_from_slice(&window.to_le_bytes());
+        fields[..width].copy_from_slice(&front.to_le_bytes()[..width]);
 
         let hit = found.is_some();
         match (hit, is_store) {
@@ -355,8 +345,6 @@ mod tests {
         assert_eq!(field_bytes(256), 7);
         assert_eq!(field_bytes(32_768), 6);
         assert_eq!(field_bytes(1 << 22), 5);
-        // Never under half a window: the front-window rebuild relies on it.
-        assert_eq!(field_bytes(1 << 40), 4);
     }
 
     #[test]

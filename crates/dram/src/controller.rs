@@ -48,9 +48,9 @@
 //! (data latency and write-to-read turnaround differ). A cached length past the current
 //! queue also forces a full scan. Hence a full scan runs once per issued command (plus one
 //! after each refresh or queue switch), not once per enqueue. When nothing arrived since
-//! the cached scan, a scan would evaluate no entry and return the cached winner as it is,
-//! so the controller skips it and issues that winner once its start cycle is due. The reference walk never reads
-//! the cache, which keeps `event_equivalence` an independent oracle for it.
+//! the cached scan, `select` returns the cached winner without computing the scan floors,
+//! since there is no entry to evaluate. The reference walk never reads the cache, which
+//! keeps `event_equivalence` an independent oracle for it.
 //!
 //! ## Group scan
 //!
@@ -464,23 +464,7 @@ impl ChannelController {
             self.update_drain_mode();
             let from_writes = self.pick_source();
             let cached = if use_cache { self.winner } else { None };
-            let selected = match cached {
-                // Nothing arrived since the cached scan of this queue, so `select` would
-                // return its winner unchanged (module docs, "Winner cache").
-                Some(c)
-                    if c.from_writes == from_writes
-                        && c.scanned == self.queue(from_writes).len() =>
-                {
-                    let winner = (c.best, self.start_cycle(&c.best));
-                    debug_assert_eq!(
-                        self.select(now, from_writes, cached, use_cache),
-                        Some(winner)
-                    );
-                    Some(winner)
-                }
-                _ => self.select(now, from_writes, cached, use_cache),
-            };
-            let Some((best, start_cycle)) = selected else {
+            let Some((best, start_cycle)) = self.select(now, from_writes, cached, use_cache) else {
                 return NO_ISSUE;
             };
             // The request is committed once its *first* DRAM command (precharge or activate
@@ -555,9 +539,26 @@ impl ChannelController {
         grouped: bool,
     ) -> Option<(Candidate, u64)> {
         let queue = self.queue(from_writes);
-        let floors = self.scan_floors(now, from_writes);
         // `idx < scanned` holds by construction, so the length check keeps `idx` in range.
         let cached = cached.filter(|c| c.from_writes == from_writes && c.scanned <= queue.len());
+        if let Some(c) = cached {
+            let entry = &queue[c.best.idx];
+            debug_assert_eq!(
+                self.evaluate(
+                    c.best.idx,
+                    entry,
+                    self.banks.classify(entry.bank as usize, entry.row),
+                    self.scan_floors(now, from_writes),
+                ),
+                c.best,
+                "the cached winner's key moved"
+            );
+            if c.scanned == queue.len() {
+                // Nothing arrived since the cached scan: there is no entry to evaluate.
+                return Some((c.best, self.start_cycle(&c.best)));
+            }
+        }
+        let floors = self.scan_floors(now, from_writes);
         let mut best: Option<Candidate> = None;
         let mut first_new = 0;
         let consider = |best: &mut Option<Candidate>, idx: usize, outcome: RowOutcome| {
@@ -571,14 +572,6 @@ impl ChannelController {
                 .classify(queue[idx].bank as usize, queue[idx].row)
         };
         if let Some(c) = cached {
-            debug_assert!(
-                {
-                    let mut again = None;
-                    consider(&mut again, c.best.idx, classify(c.best.idx));
-                    again == Some(c.best)
-                },
-                "the cached winner's key moved"
-            );
             best = Some(c.best);
             first_new = c.scanned;
         }

@@ -400,7 +400,8 @@ mod tests {
     #[test]
     fn a_sparse_multichase_counts_the_watch_list_against_the_budget() {
         // 2^26 − 1 loads over 2^32 − 1 lines resolve from the draws: 512 MiB of packed ops
-        // alone, but the watch list and walk take the build past the budget.
+        // alone, but the 1.5 GiB watch list and the 256 MiB walk take the build past the
+        // budget.
         let (lines, loads) = (u64::from(u32::MAX), (1 << 26) - 1);
         assert!(8 * loads < CHASE_BUILD_BUDGET);
         assert!(chase_build_bytes(lines, loads) > CHASE_BUILD_BUDGET);

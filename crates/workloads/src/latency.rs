@@ -151,16 +151,16 @@ fn resolves_from_draws(lines: u64, loads: u64) -> bool {
 }
 
 /// The most bytes [`sattolo_chase`] holds at once for a walk of `loads` over `lines` (at
-/// most `u32::MAX`): the `min(lines, loads)` packed ops of the body, plus the shuffle's
-/// `lines`-long `u32` order, or the draw resolution's watch list and `u32` walk.
+/// most `u32::MAX`). The shuffle's `lines`-long `u32` order lives on while the body's
+/// `min(lines, loads)` packed ops are collected. The draw resolution's `u32` walk lives
+/// first beside its watch list, then, once the list is dropped, beside the packed ops.
 pub(crate) fn chase_build_bytes(lines: u64, loads: u64) -> u64 {
     let len = lines.min(loads);
-    let scratch = if resolves_from_draws(lines, loads) {
-        Watchers::bytes(len) + 4 * len
+    if resolves_from_draws(lines, loads) {
+        4 * len + Watchers::bytes(len).max(8 * len)
     } else {
-        4 * lines
-    };
-    8 * len + scratch
+        4 * lines + 8 * len
+    }
 }
 
 /// The first `len` lines of the walk from line 0, by shuffling the whole order.
@@ -607,5 +607,15 @@ mod tests {
             v
         };
         assert_eq!(collect(config.stream()), collect(config.stream()));
+    }
+
+    #[test]
+    fn a_sparse_chase_build_counts_its_peak_not_every_allocation() {
+        // 2^25 loads over u32::MAX lines: the 128 MiB walk lives beside the 768 MiB watch
+        // list, then beside 256 MiB of packed ops once the list is dropped.
+        assert_eq!(Watchers::bytes(1 << 25), 768 << 20);
+        assert_eq!(chase_build_bytes(u64::from(u32::MAX), 1 << 25), 896 << 20);
+        // A dense walk holds the whole shuffled order while its ops are collected.
+        assert_eq!(chase_build_bytes(1_000, 100), 4 * 1_000 + 8 * 100);
     }
 }
