@@ -153,8 +153,8 @@ fn read_window(bytes: &[u8], at: usize) -> u64 {
 /// Each line is one packed field of `width` bytes, set-major and contiguous: the tag value
 /// shifted above a valid and a dirty bit, or all zeros for an empty slot. The width comes
 /// from the geometry, as the bits of the largest tag plus two: 6 bytes for Skylake's 32,768
-/// sets, 8 for a single set. A field is read and written through the 8-byte little-endian
-/// window at its offset, so the array carries 7 bytes past the last field.
+/// sets, 8 for a single set. A field is read through the 8-byte little-endian window at its
+/// offset, so the array carries 7 bytes past the last field.
 ///
 /// The order of a set's fields is its LRU state: most recently used first. The hit scan —
 /// the hottest loop in the whole engine, run once per memory instruction — walks
