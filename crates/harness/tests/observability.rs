@@ -6,7 +6,8 @@
 //! collector are raced by nobody) runs a builtin suite three ways — disabled @ 1 worker,
 //! enabled+tracing @ 1 worker, enabled+tracing @ 8 workers — and compares everything.
 
-use mess_scenario::{Fidelity, ScenarioOptions, TraceProgress, BUILTINS};
+use mess_obs::trace::TraceRecord;
+use mess_scenario::{Fidelity, ScenarioKind, ScenarioOptions, TraceProgress, BUILTINS};
 
 /// Everything a run produces that downstream consumers may hash, cache, or diff.
 #[derive(Debug, PartialEq)]
@@ -75,6 +76,55 @@ fn observability_never_changes_outputs_at_any_worker_count() {
         records.iter().any(|r| r.name.starts_with("leg:")),
         "expected leg spans"
     );
+
+    // Every characterization is traced under its leg: each leg span of a curve-measuring
+    // builtin has a `characterize` child, except fig2's STREAM phase, which is a leg of
+    // its own.
+    let children = |parent: &TraceRecord| {
+        let id = parent.id;
+        records.iter().filter(move |r| r.parent == id)
+    };
+    let curve_measuring: Vec<String> = BUILTINS
+        .iter()
+        .filter(|b| {
+            matches!(
+                b.spec(Fidelity::Quick).kind,
+                ScenarioKind::CurveFamily { .. }
+                    | ScenarioKind::PlatformTable { .. }
+                    | ScenarioKind::ModelComparison { .. }
+                    | ScenarioKind::MessCurves { .. }
+                    | ScenarioKind::CxlHosts { .. }
+            )
+        })
+        .map(|b| format!("scenario:{}", b.id))
+        .collect();
+    let mut characterized_legs = 0;
+    for scenario in records.iter().filter(|r| curve_measuring.contains(&r.name)) {
+        for leg in children(scenario).filter(|r| r.name.starts_with("leg:")) {
+            if scenario.name == "scenario:fig2" && leg.name == "leg:stream" {
+                continue;
+            }
+            assert!(
+                children(leg).any(|r| r.name == "characterize"),
+                "{} of {} has no characterize child",
+                leg.name,
+                scenario.name
+            );
+            characterized_legs += 1;
+        }
+    }
+    assert!(characterized_legs > 0, "expected characterization legs");
+    let fig2: Vec<&TraceRecord> = records
+        .iter()
+        .filter(|r| r.name == "scenario:fig2")
+        .collect();
+    assert_eq!(fig2.len(), 2, "fig2 ran traced at 1 and 8 workers");
+    for fig2 in fig2 {
+        assert!(
+            children(fig2).any(|r| r.name == "leg:stream"),
+            "fig2's STREAM phase runs in a leg"
+        );
+    }
 
     assert_eq!(
         baseline, traced_sequential,

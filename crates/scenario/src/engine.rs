@@ -3,13 +3,17 @@
 //! [`run_scenario_observed`] resolves a [`ScenarioSpec`] through the lower-layer
 //! registries (platforms, models, workloads, sweeps) and executes it, narrating its legs to
 //! a [`ProgressSink`]; [`run_campaign_observed`] fans a [`CampaignSpec`] out, one
-//! `par_map` item per scenario. Campaign members and parallel legs alike use the
+//! `par_map` item per scenario. Campaign members and the legs of a scenario alike use the
 //! order-preserving `par_map`, so reports are byte-identical at any worker count.
 //!
-//! The five curve-measuring kinds (`CurveFamily`, `PlatformTable`, `ModelComparison`,
-//! `MessCurves`, `CxlHosts`) run the Mess benchmark through one leg runner: their curve
-//! sources and model factories resolve before the fan-out, and every leg characterizes,
-//! builds its row and files one [`CurveSet`] artifact the same way.
+//! Every [`ScenarioKind`] lowers to legs, each a progress label plus its work, and one
+//! private leg runner executes them: it is the only place a leg is narrated, counted and
+//! fanned out. The per-kind code resolves models and curve sources before the fan-out, so
+//! spec errors surface before any leg runs, and afterwards only folds the leg results into
+//! rows. The five curve-measuring kinds (`CurveFamily`, `PlatformTable`,
+//! `ModelComparison`, `MessCurves`, `CxlHosts`) share one characterization plan on top of
+//! it: every leg characterizes, builds its row and files one [`CurveSet`] artifact the
+//! same way.
 //!
 //! The public free functions in this module (stream runs and IPC error, STREAM reference
 //! bandwidths, trace capture and folding, workload profiling, curve-source resolution) are
@@ -75,9 +79,9 @@ pub fn ipc_error_percent(simulated: f64, reference: f64) -> f64 {
 
 /// The six validation workloads of the IPC-error comparisons (Figs. 11 and 13).
 ///
-/// Each one is now a thin name over a [`WorkloadSpec`]: [`ValidationWorkload::spec`] builds
-/// the declarative spec and [`ValidationWorkload::streams`] resolves it, so the validation
-/// set and any scenario file construct their workloads through the same pipeline.
+/// Each one names a [`WorkloadSpec`]: [`ValidationWorkload::spec`] builds the declarative
+/// spec and [`ValidationWorkload::streams`] resolves it, so the validation set and any
+/// scenario file construct their workloads through the same pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValidationWorkload {
     /// STREAM Copy.
@@ -321,24 +325,8 @@ pub fn resolve_curves(
     }
     match source {
         CurveSourceSpec::Characterized { model, sweep } => {
-            // The characterize phase is the classic hot spot of a curve-driven run, so it
-            // gets its own span (nesting under the leg span when one is entered on this
-            // thread) and its own counter.
-            let _span = mess_obs::Span::start("characterize")
-                .arg("platform", platform.name)
-                .arg("model", model.kind.label());
-            if let Some(metrics) = crate::obs::ScenarioMetrics::if_enabled() {
-                metrics.characterizations.inc();
-            }
             let factory = resolve_factory(model, platform, options)?;
-            let c = characterize_spec(
-                platform.name,
-                &platform.cpu_config(),
-                || factory.build().expect("factory construction checked above"),
-                sweep,
-                &ExecConfig::default(),
-            )?;
-            Ok(c.family)
+            characterize(platform.name, platform, &factory, sweep)
         }
         other => other.family(platform),
     }
@@ -346,7 +334,7 @@ pub fn resolve_curves(
 
 /// Builds `model`'s factory for `platform`, resolving its curve source (including the
 /// `File` and `Characterized` variants) through [`resolve_curves`], and proves one
-/// instance constructs, so spec errors surface as `Err` before any parallel leg would
+/// instance constructs, so spec errors surface as `Err` before any leg would
 /// `expect` on them.
 ///
 /// # Errors
@@ -370,16 +358,32 @@ pub fn resolve_factory(
     Ok(factory)
 }
 
-/// [`resolve_factory`] for each of `models` on `platform`, in model order.
-fn resolve_factories(
-    models: &[ModelSpec],
+/// Runs the Mess benchmark against `factory`'s model on `platform` and returns the measured
+/// family, named `name`.
+///
+/// This is the one place the scenario layer characterizes, so every characterization opens
+/// a `characterize` span (under the leg span when one is entered on this thread) and counts
+/// in `mess_scenario_characterizations_total`.
+fn characterize(
+    name: &str,
     platform: &PlatformSpec,
-    options: &ScenarioOptions,
-) -> Result<Vec<ModelFactory>, MessError> {
-    models
-        .iter()
-        .map(|model| resolve_factory(model, platform, options))
-        .collect()
+    factory: &ModelFactory,
+    sweep: &SweepSpec,
+) -> Result<CurveFamily, MessError> {
+    let _span = mess_obs::Span::start("characterize")
+        .arg("platform", platform.name)
+        .arg("model", factory.kind().label());
+    if let Some(metrics) = crate::obs::ScenarioMetrics::if_enabled() {
+        metrics.characterizations.inc();
+    }
+    let c = characterize_spec(
+        name,
+        &platform.cpu_config(),
+        || factory.build().expect("the factory was proven to build"),
+        sweep,
+        &ExecConfig::default(),
+    )?;
+    Ok(c.family)
 }
 
 /// One-line human-readable summary of a sweep, for artifact provenance.
@@ -442,40 +446,11 @@ pub fn run_scenario_with(
     run_scenario_observed(spec, options, &NoProgress)
 }
 
-/// Emits a leg's start/finish events around its body — the one place every parallel
-/// fan-out narrates itself, so event pairing is uniform across scenario kinds.
-fn observed_leg<R>(
-    sink: &dyn ProgressSink,
-    scenario: &str,
-    leg: String,
-    index: usize,
-    total: usize,
-    body: impl FnOnce() -> R,
-) -> R {
-    sink.emit(ProgressEvent::LegStarted {
-        scenario: scenario.to_string(),
-        leg: leg.clone(),
-        index,
-        total,
-    });
-    if let Some(metrics) = crate::obs::ScenarioMetrics::if_enabled() {
-        metrics.legs.inc();
-    }
-    let result = body();
-    sink.emit(ProgressEvent::LegFinished {
-        scenario: scenario.to_string(),
-        leg,
-        index,
-        total,
-    });
-    result
-}
-
 /// [`run_scenario_with`] narrating its execution through `sink`: one
-/// [`ProgressEvent::ScenarioStarted`] after validation, a started/finished pair per
-/// parallel leg, and one [`ProgressEvent::ScenarioFinished`] with the final row and
-/// artifact counts. The sink receives events from the engine's worker threads; it
-/// observes scheduling, never influences results.
+/// [`ProgressEvent::ScenarioStarted`] after validation, a started/finished pair per leg,
+/// and one [`ProgressEvent::ScenarioFinished`] with the final row and artifact counts. The
+/// sink receives events from the engine's worker threads; it observes scheduling, never
+/// influences results.
 ///
 /// # Errors
 ///
@@ -496,95 +471,56 @@ pub fn run_scenario_observed(
     if let Some(metrics) = crate::obs::ScenarioMetrics::if_enabled() {
         metrics.runs.inc();
     }
-    let mut curve_sets = Vec::new();
-    let sets = &mut curve_sets;
+    let mut ctx = Context {
+        spec,
+        options,
+        sink,
+        platform: spec.platform.resolve(),
+        curve_sets: Vec::new(),
+    };
+    let cx = &mut ctx;
     let mut report = match &spec.kind {
         ScenarioKind::CurveFamily {
             model,
             sweep,
             stream_llc_multiple,
             paper_reference,
-        } => run_curve_family(
-            spec,
-            model,
-            sweep,
-            *stream_llc_multiple,
-            *paper_reference,
-            options,
-            sets,
-            sink,
-        )?,
+        } => curve_family(cx, model, sweep, *stream_llc_multiple, *paper_reference)?,
         ScenarioKind::PlatformTable {
             platforms,
             model,
             sweep,
             stream_llc_multiple,
-        } => run_platform_table(
-            spec,
-            platforms,
-            model,
-            sweep,
-            *stream_llc_multiple,
-            options,
-            sets,
-            sink,
-        )?,
-        ScenarioKind::ModelComparison { models, sweep } => {
-            run_model_comparison(spec, models, sweep, options, sets, sink)?
-        }
+        } => platform_table(cx, platforms, model, sweep, *stream_llc_multiple)?,
+        ScenarioKind::ModelComparison { models, sweep } => model_comparison(cx, models, sweep)?,
         ScenarioKind::TraceReplay {
             models,
             trace_ops,
             trace_pause,
             speeds,
-        } => run_trace_replay(
-            spec,
-            models,
-            *trace_ops,
-            *trace_pause,
-            speeds,
-            options,
-            sink,
-        )?,
+        } => trace_replay(cx, models, *trace_ops, *trace_pause, speeds)?,
         ScenarioKind::RowBuffer {
             models,
             store_mixes,
             pauses,
             max_cycles,
-        } => run_row_buffer(
-            spec,
-            models,
-            store_mixes,
-            pauses,
-            *max_cycles,
-            options,
-            sink,
-        )?,
+        } => row_buffer(cx, models, store_mixes, pauses, *max_cycles)?,
         ScenarioKind::MessCurves {
             platforms,
             curves,
             sweep,
-        } => run_mess_curves(spec, platforms, curves, sweep, options, sets, sink)?,
+        } => mess_curves(cx, platforms, curves, sweep)?,
         ScenarioKind::IpcError {
             models,
             workloads,
             max_cycles,
-        } => run_ipc_error(spec, models, workloads, *max_cycles, options, sink)?,
+        } => ipc_error(cx, models, workloads, *max_cycles)?,
         ScenarioKind::CxlHosts {
             hosts,
             curves,
             device_peak_gbs,
             sweep,
-        } => run_cxl_hosts(
-            spec,
-            hosts,
-            curves,
-            *device_peak_gbs,
-            sweep,
-            options,
-            sets,
-            sink,
-        )?,
+        } => cxl_hosts(cx, hosts, curves, *device_peak_gbs, sweep)?,
         ScenarioKind::CxlVsRemote {
             benchmarks,
             ops_per_core,
@@ -592,16 +528,14 @@ pub fn run_scenario_observed(
             expander,
             emulation,
             device_peak_gbs,
-        } => run_cxl_vs_remote(
-            spec,
+        } => cxl_vs_remote(
+            cx,
             benchmarks,
             *ops_per_core,
             *max_cycles,
             expander,
             emulation,
             *device_peak_gbs,
-            options,
-            sink,
         )?,
         ScenarioKind::Profile {
             workload,
@@ -610,22 +544,20 @@ pub fn run_scenario_observed(
             window_us,
             phase_threshold,
             max_cycles,
-        } => run_profile(
-            spec,
+        } => profile(
+            cx,
             workload,
             model,
             curves,
             *window_us,
             *phase_threshold,
             *max_cycles,
-            options,
-            sink,
         )?,
         ScenarioKind::Run {
             workload,
             model,
             max_cycles,
-        } => run_single(spec, workload, model, *max_cycles, options, sink)?,
+        } => single_run(cx, workload, model, *max_cycles)?,
     };
     for note in &spec.notes {
         report.note(note.clone());
@@ -633,9 +565,12 @@ pub fn run_scenario_observed(
     sink.emit(ProgressEvent::ScenarioFinished {
         scenario: spec.id.clone(),
         rows: report.rows.len(),
-        artifacts: curve_sets.len(),
+        artifacts: ctx.curve_sets.len(),
     });
-    Ok(ScenarioOutcome { report, curve_sets })
+    Ok(ScenarioOutcome {
+        report,
+        curve_sets: ctx.curve_sets,
+    })
 }
 
 /// Runs a campaign on the order-preserving [`mess_exec::par_map`]: one item per scenario,
@@ -663,12 +598,129 @@ pub fn run_campaign_observed(
 }
 
 // ---------------------------------------------------------------------------
-// Per-kind execution
+// Legs and the one leg runner
 // ---------------------------------------------------------------------------
+
+/// What every per-kind runner works with: the spec, the operator options, the progress
+/// sink, the spec's platform (resolved once) and the curve artifacts filed so far.
+struct Context<'a> {
+    spec: &'a ScenarioSpec,
+    options: &'a ScenarioOptions,
+    sink: &'a dyn ProgressSink,
+    platform: PlatformSpec,
+    curve_sets: Vec<CurveSet>,
+}
+
+/// One unit of a scenario's fan-out: its progress label and the work computing its result.
+struct Leg<'a, R> {
+    label: String,
+    work: Box<dyn FnOnce() -> R + Send + 'a>,
+}
+
+impl<'a, R> Leg<'a, R> {
+    fn new(label: impl Into<String>, work: impl FnOnce() -> R + Send + 'a) -> Self {
+        Leg {
+            label: label.into(),
+            work: Box::new(work),
+        }
+    }
+}
+
+impl Context<'_> {
+    /// An empty report with the spec's id and title.
+    fn report(&self, headers: &[&str]) -> ExperimentReport {
+        ExperimentReport::new(&self.spec.id, &self.spec.title, headers)
+    }
+
+    /// [`resolve_curves`] on the spec's platform.
+    fn curves(&self, source: &CurveSourceSpec) -> Result<CurveFamily, MessError> {
+        resolve_curves(source, &self.platform, self.options)
+    }
+
+    /// [`resolve_factory`] for each of `models` on the spec's platform, in model order.
+    fn factories(&self, models: &[ModelSpec]) -> Result<Vec<ModelFactory>, MessError> {
+        models
+            .iter()
+            .map(|model| resolve_factory(model, &self.platform, self.options))
+            .collect()
+    }
+
+    /// Runs `legs` as one fan-out on `exec` and returns their results in leg order.
+    ///
+    /// This is the one place a leg executes: each is narrated as a
+    /// [`ProgressEvent::LegStarted`]/[`ProgressEvent::LegFinished`] pair (its index in this
+    /// fan-out, the fan-out's size as `total`) and counted in `mess_scenario_legs_total`.
+    /// Plans whose legs nest parallel work (a sweep, STREAM) pass
+    /// [`ExecConfig::for_fanout`]; flat plans pass the default.
+    fn run_legs<R: Send>(&self, exec: &ExecConfig, legs: Vec<Leg<'_, R>>) -> Vec<R> {
+        let total = legs.len();
+        mess_exec::par_map_with(exec, legs, |index, leg| {
+            self.sink.emit(ProgressEvent::LegStarted {
+                scenario: self.spec.id.clone(),
+                leg: leg.label.clone(),
+                index,
+                total,
+            });
+            if let Some(metrics) = crate::obs::ScenarioMetrics::if_enabled() {
+                metrics.legs.inc();
+            }
+            let result = (leg.work)();
+            self.sink.emit(ProgressEvent::LegFinished {
+                scenario: self.spec.id.clone(),
+                leg: leg.label,
+                index,
+                total,
+            });
+            result
+        })
+    }
+
+    /// Runs one leg. A lone leg runs inline on the caller's thread, so parallel work inside
+    /// it keeps the whole pool.
+    fn run_leg<R: Send>(&self, label: impl Into<String>, work: impl FnOnce() -> R + Send) -> R {
+        let legs = vec![Leg::new(label, work)];
+        let mut results = self.run_legs(&ExecConfig::default(), legs);
+        results.pop().expect("one leg yields one result")
+    }
+
+    /// Characterizes every leg's model with `sweep` and returns each leg's `row` in leg
+    /// order, filing one [`CurveSet`] artifact per leg.
+    ///
+    /// This is the one place a curve-measuring kind runs the Mess benchmark. With fewer legs
+    /// than pool workers the legs run sequentially and each leg's sweep takes the pool
+    /// instead (`for_fanout`); nested maps on a pool worker never fan out, so both
+    /// schedules produce identical rows.
+    fn characterize_legs<R: Send>(
+        &mut self,
+        sweep: &SweepSpec,
+        legs: &[CurveLeg],
+        row: impl Fn(&CurveLeg, &CurveFamily) -> R + Sync,
+    ) -> Result<Vec<R>, MessError> {
+        let row = &row;
+        let plan = legs
+            .iter()
+            .map(|leg| {
+                Leg::new(leg.label.clone(), move || {
+                    let family = characterize(leg.family, &leg.platform, &leg.factory, sweep)?;
+                    Ok((row(leg, &family), family))
+                })
+            })
+            .collect();
+        let results = self.run_legs(&ExecConfig::for_fanout(legs.len()), plan);
+        let mut rows = Vec::with_capacity(legs.len());
+        for (leg, result) in legs.iter().zip(results) {
+            let (r, family) = result?;
+            let set = artifact(&self.spec.id, &leg.platform, leg.model, sweep, family);
+            self.curve_sets.extend(set);
+            rows.push(r);
+        }
+        Ok(rows)
+    }
+}
 
 /// One characterization leg: the Mess benchmark run against one resolved memory model on
 /// one platform.
-struct Leg {
+struct CurveLeg {
     /// The leg's progress label.
     label: String,
     /// The platform the benchmark runs on.
@@ -681,7 +733,24 @@ struct Leg {
     model: &'static str,
 }
 
-impl Leg {
+impl CurveLeg {
+    /// A leg characterizing `model` on `platform`, labelled `label`; the family takes the
+    /// platform's name.
+    fn model(
+        label: String,
+        platform: PlatformSpec,
+        model: &ModelSpec,
+        options: &ScenarioOptions,
+    ) -> Result<CurveLeg, MessError> {
+        Ok(CurveLeg {
+            label,
+            factory: resolve_factory(model, &platform, options)?,
+            family: platform.name,
+            model: model.kind.label(),
+            platform,
+        })
+    }
+
     /// A leg characterizing a curve-driven Mess simulator on `platform`, fed `curves` as
     /// resolved for that platform. Returns the leg and its input family.
     fn mess(
@@ -689,12 +758,12 @@ impl Leg {
         curves: &CurveSourceSpec,
         family: &'static str,
         options: &ScenarioOptions,
-    ) -> Result<(Leg, CurveFamily), MessError> {
+    ) -> Result<(CurveLeg, CurveFamily), MessError> {
         let platform = platform.resolve();
         let input = resolve_curves(curves, &platform, options)?;
         let factory = ModelFactory::with_curves(MemoryModelKind::Mess, &platform, input.clone());
         factory.build()?;
-        let leg = Leg {
+        let leg = CurveLeg {
             label: platform.id.key().to_string(),
             platform,
             factory,
@@ -705,77 +774,21 @@ impl Leg {
     }
 }
 
-/// Runs every characterization leg and returns each leg's `row` in leg order, filing one
-/// [`CurveSet`] artifact per leg in `sets`.
-///
-/// This is the one place a curve-measuring kind runs the Mess benchmark: each leg
-/// characterizes its model with `sweep` inside [`observed_leg`] and hands the measured
-/// family to `row`. With fewer legs than pool workers the legs run sequentially and each
-/// leg's sweep takes the pool instead (`for_fanout`); nested maps on a pool worker never
-/// fan out, so both schedules produce identical rows.
-fn characterize_legs<R: Send>(
-    spec: &ScenarioSpec,
-    sweep: &SweepSpec,
-    legs: &[Leg],
-    sets: &mut Vec<CurveSet>,
-    sink: &dyn ProgressSink,
-    row: impl Fn(&Leg, &CurveFamily) -> R + Sync,
-) -> Result<Vec<R>, MessError> {
-    let total = legs.len();
-    let results = mess_exec::par_map_with(
-        &ExecConfig::for_fanout(total),
-        legs.iter().collect(),
-        |i, leg: &Leg| {
-            observed_leg(sink, &spec.id, leg.label.clone(), i, total, || {
-                let c = characterize_spec(
-                    leg.family,
-                    &leg.platform.cpu_config(),
-                    || {
-                        leg.factory
-                            .build()
-                            .expect("the factory built before the fan-out")
-                    },
-                    sweep,
-                    &ExecConfig::default(),
-                )?;
-                Ok((row(leg, &c.family), c.family))
-            })
-        },
-    );
-    let mut rows = Vec::with_capacity(total);
-    for (leg, result) in legs.iter().zip(results) {
-        let (r, family) = result?;
-        sets.extend(artifact(&spec.id, &leg.platform, leg.model, sweep, family));
-        rows.push(r);
-    }
-    Ok(rows)
-}
+// ---------------------------------------------------------------------------
+// Per-kind lowering
+// ---------------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
-fn run_curve_family(
-    spec: &ScenarioSpec,
+fn curve_family(
+    cx: &mut Context,
     model: &ModelSpec,
     sweep: &SweepSpec,
     stream_llc_multiple: Option<u64>,
     paper_reference: bool,
-    options: &ScenarioOptions,
-    sets: &mut Vec<CurveSet>,
-    sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
-    let platform = spec.platform.resolve();
-    let leg = Leg {
-        label: model.kind.label().to_string(),
-        platform: platform.clone(),
-        factory: resolve_factory(model, &platform, options)?,
-        family: platform.name,
-        model: model.kind.label(),
-    };
-    let mut report = ExperimentReport::new(
-        &spec.id,
-        &spec.title,
-        &["read_percent", "bandwidth_gbs", "latency_ns"],
-    );
-    let measured = characterize_legs(spec, sweep, &[leg], sets, sink, |leg, family| {
+    let label = model.kind.label().to_string();
+    let leg = CurveLeg::model(label, cx.platform.clone(), model, cx.options)?;
+    let mut report = cx.report(&["read_percent", "bandwidth_gbs", "latency_ns"]);
+    let measured = cx.characterize_legs(sweep, &[leg], |leg, family| {
         let metrics = FamilyMetrics::compute(family, leg.platform.theoretical_bandwidth());
         (family.to_rows(), metrics.table_row())
     })?;
@@ -789,70 +802,55 @@ fn run_curve_family(
         }
         report.note(metrics);
     }
+    let platform = &cx.platform;
     if let Some(llc_multiple) = stream_llc_multiple {
-        for (kernel, gbs) in stream_bandwidths(&platform, llc_multiple, &ExecConfig::default()) {
+        let streams = cx.run_leg("stream", || {
+            stream_bandwidths(platform, llc_multiple, &ExecConfig::default())
+        });
+        for (kernel, gbs) in streams {
             report.note(format!(
                 "STREAM {kernel}: {gbs:.1} GB/s (application-level)"
             ));
         }
     }
-    if paper_reference {
-        if let Some(r) = &platform.reference {
-            report.note(format!(
-                "paper reference: unloaded {} ns, saturated {}-{}% of theoretical, max latency {}-{} ns",
-                r.unloaded_latency_ns,
-                r.saturated_bw_low_pct,
-                r.saturated_bw_high_pct,
-                r.max_latency_low_ns,
-                r.max_latency_high_ns
-            ));
-        }
+    if let Some(r) = platform.reference.filter(|_| paper_reference) {
+        report.note(format!(
+            "paper reference: unloaded {} ns, saturated {}-{}% of theoretical, max latency {}-{} ns",
+            r.unloaded_latency_ns,
+            r.saturated_bw_low_pct,
+            r.saturated_bw_high_pct,
+            r.max_latency_low_ns,
+            r.max_latency_high_ns
+        ));
     }
     Ok(report)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_platform_table(
-    spec: &ScenarioSpec,
+fn platform_table(
+    cx: &mut Context,
     platforms: &[PlatformRef],
     model: &ModelSpec,
     sweep: &SweepSpec,
     stream_llc_multiple: u64,
-    options: &ScenarioOptions,
-    sets: &mut Vec<CurveSet>,
-    sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
-    let legs: Vec<Leg> = platforms
+    let legs: Vec<CurveLeg> = platforms
         .iter()
-        .map(|leg| {
-            let platform = leg.resolve();
-            Ok(Leg {
-                label: leg.id.key().to_string(),
-                factory: resolve_factory(model, &platform, options)?,
-                family: platform.name,
-                model: model.kind.label(),
-                platform,
-            })
-        })
+        .map(|p| CurveLeg::model(p.id.key().to_string(), p.resolve(), model, cx.options))
         .collect::<Result<_, MessError>>()?;
-    let mut report = ExperimentReport::new(
-        &spec.id,
-        &spec.title,
-        &[
-            "platform",
-            "theoretical_gbs",
-            "unloaded_ns",
-            "unloaded_ns_paper",
-            "sat_bw_low_pct",
-            "sat_bw_high_pct",
-            "sat_bw_paper",
-            "max_lat_range_ns",
-            "max_lat_paper",
-            "stream_pct",
-            "stream_paper",
-        ],
-    );
-    let rows = characterize_legs(spec, sweep, &legs, sets, sink, |leg, family| {
+    let mut report = cx.report(&[
+        "platform",
+        "theoretical_gbs",
+        "unloaded_ns",
+        "unloaded_ns_paper",
+        "sat_bw_low_pct",
+        "sat_bw_high_pct",
+        "sat_bw_paper",
+        "max_lat_range_ns",
+        "max_lat_paper",
+        "stream_pct",
+        "stream_paper",
+    ]);
+    let rows = cx.characterize_legs(sweep, &legs, |leg, family| {
         let platform = &leg.platform;
         let theoretical = platform.theoretical_bandwidth();
         let m = FamilyMetrics::compute(family, theoretical);
@@ -895,37 +893,30 @@ fn run_platform_table(
     Ok(report)
 }
 
-fn run_model_comparison(
-    spec: &ScenarioSpec,
+fn model_comparison(
+    cx: &mut Context,
     models: &[ModelSpec],
     sweep: &SweepSpec,
-    options: &ScenarioOptions,
-    sets: &mut Vec<CurveSet>,
-    sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
-    let platform = spec.platform.resolve();
-    let legs: Vec<Leg> = resolve_factories(models, &platform, options)?
+    let legs: Vec<CurveLeg> = cx
+        .factories(models)?
         .into_iter()
-        .map(|factory| Leg {
+        .map(|factory| CurveLeg {
             label: factory.kind().label().to_string(),
-            platform: platform.clone(),
+            platform: cx.platform.clone(),
             family: factory.kind().label(),
             model: factory.kind().label(),
             factory,
         })
         .collect();
-    let mut report = ExperimentReport::new(
-        &spec.id,
-        &spec.title,
-        &[
-            "memory_model",
-            "unloaded_ns",
-            "max_latency_ns",
-            "max_bandwidth_gbs",
-            "max_bw_pct_of_theoretical",
-        ],
-    );
-    let rows = characterize_legs(spec, sweep, &legs, sets, sink, |leg, family| {
+    let mut report = cx.report(&[
+        "memory_model",
+        "unloaded_ns",
+        "max_latency_ns",
+        "max_bandwidth_gbs",
+        "max_bw_pct_of_theoretical",
+    ]);
+    let rows = cx.characterize_legs(sweep, &legs, |leg, family| {
         let m = FamilyMetrics::compute(family, leg.platform.theoretical_bandwidth());
         vec![
             leg.model.to_string(),
@@ -939,35 +930,30 @@ fn run_model_comparison(
     report.note(format!(
         "reference platform: {} ({:.0} GB/s theoretical); the detailed-dram row plays the role \
          of the actual hardware",
-        platform.name,
-        platform.theoretical_bandwidth().as_gbs()
+        cx.platform.name,
+        cx.platform.theoretical_bandwidth().as_gbs()
     ));
     Ok(report)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_trace_replay(
-    spec: &ScenarioSpec,
+fn trace_replay(
+    cx: &mut Context,
     models: &[ModelSpec],
     trace_ops: u64,
     trace_pause: u32,
     speeds: &[f64],
-    options: &ScenarioOptions,
-    sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
-    let platform = spec.platform.resolve();
-    let factories = resolve_factories(models, &platform, options)?;
-    let trace = capture_trace(&platform, trace_pause, trace_ops);
-    let mut report = ExperimentReport::new(
-        &spec.id,
-        &spec.title,
-        &[
-            "memory_model",
-            "replay_speed",
-            "bandwidth_gbs",
-            "avg_read_latency_ns",
-        ],
-    );
+    let factories = cx.factories(models)?;
+    let platform = &cx.platform;
+    let trace = cx.run_leg("capture", || {
+        capture_trace(platform, trace_pause, trace_ops)
+    });
+    let mut report = cx.report(&[
+        "memory_model",
+        "replay_speed",
+        "bandwidth_gbs",
+        "avg_read_latency_ns",
+    ]);
     report.note(format!(
         "trace: {} requests, {} of them reads",
         trace.len(),
@@ -975,142 +961,107 @@ fn run_trace_replay(
     ));
     // One replay leg per (model, speed): the trace and the per-model factories are shared
     // read-only, each leg builds its own model instance.
-    let mut legs: Vec<(usize, f64)> = Vec::new();
-    for i in 0..factories.len() {
-        legs.extend(speeds.iter().map(|&speed| (i, speed)));
+    let trace = &trace;
+    let mut legs = Vec::new();
+    for factory in &factories {
+        let model = factory.kind().label();
+        legs.extend(speeds.iter().map(|&speed| {
+            Leg::new(format!("{model}@{speed:.1}x"), move || {
+                let mut backend = factory.build().expect("model construction is valid here");
+                let r = replay(trace, backend.as_mut(), platform.frequency, speed);
+                vec![
+                    model.to_string(),
+                    format!("{speed:.1}"),
+                    format!("{:.2}", r.bandwidth.as_gbs()),
+                    format!("{:.1}", r.latency.as_ns()),
+                ]
+            })
+        }));
     }
-    let total = legs.len();
-    let rows = mess_exec::par_map(legs, |leg_index, (i, speed)| {
-        let label = format!("{}@{speed:.1}x", factories[i].kind().label());
-        observed_leg(sink, &spec.id, label, leg_index, total, || {
-            let mut backend = factories[i]
-                .build()
-                .expect("model construction is valid here");
-            let r = replay(&trace, backend.as_mut(), platform.frequency, speed);
-            vec![
-                factories[i].kind().label().to_string(),
-                format!("{speed:.1}"),
-                format!("{:.2}", r.bandwidth.as_gbs()),
-                format!("{:.1}", r.latency.as_ns()),
-            ]
-        })
-    });
-    report.push_rows(rows);
+    report.push_rows(cx.run_legs(&ExecConfig::default(), legs));
     Ok(report)
 }
 
-/// Drives a backend with the Mess traffic generator at full intensity and returns the
-/// row-buffer statistics (hit/empty/miss percentages).
-fn row_buffer_stats(
-    platform: &PlatformSpec,
-    backend: &mut dyn MemoryBackend,
-    store_mix: f64,
-    pause: u32,
-    max_cycles: u64,
-) -> (f64, mess_types::RowBufferStats) {
-    let cpu = platform.cpu_config();
-    let traffic = TrafficConfig::new(store_mix, pause, cpu.llc.capacity_bytes);
-    let streams: Vec<Box<dyn OpStream>> = traffic.lanes(cpu.cores);
-    let mut engine = Engine::from_boxed(cpu, streams);
-    let report = engine.run(backend, StopCondition::AllStreamsDone, max_cycles);
-    (report.bandwidth.as_gbs(), report.memory.row_buffer)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_row_buffer(
-    spec: &ScenarioSpec,
+fn row_buffer(
+    cx: &mut Context,
     models: &[ModelSpec],
     store_mixes: &[f64],
     pauses: &[u32],
     max_cycles: u64,
-    options: &ScenarioOptions,
-    sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
-    let platform = spec.platform.resolve();
-    let factories = resolve_factories(models, &platform, options)?;
-    let mut report = ExperimentReport::new(
-        &spec.id,
-        &spec.title,
-        &[
-            "memory_model",
-            "traffic",
-            "pause",
-            "bandwidth_gbs",
-            "hit_pct",
-            "empty_pct",
-            "miss_pct",
-        ],
-    );
+    let factories = cx.factories(models)?;
+    let mut report = cx.report(&[
+        "memory_model",
+        "traffic",
+        "pause",
+        "bandwidth_gbs",
+        "hit_pct",
+        "empty_pct",
+        "miss_pct",
+    ]);
     // The full (model, traffic, pause) grid runs in parallel; the per-model factories are
     // shared and each leg builds its own backend instance.
-    let mut legs: Vec<(usize, f64, u32)> = Vec::new();
-    for i in 0..factories.len() {
+    let platform = &cx.platform;
+    let mut legs = Vec::new();
+    for factory in &factories {
+        let model = factory.kind().label();
         for &mix in store_mixes {
-            legs.extend(pauses.iter().map(|&pause| (i, mix, pause)));
+            let traffic = if mix == 0.0 {
+                "100%-read".to_string()
+            } else {
+                format!("{:.0}%-store", mix * 100.0)
+            };
+            for &pause in pauses {
+                let traffic = traffic.clone();
+                let label = format!("{model} {traffic} pause {pause}");
+                legs.push(Leg::new(label, move || {
+                    let mut backend = factory.build().expect("model construction is valid here");
+                    let cpu = platform.cpu_config();
+                    let lanes =
+                        TrafficConfig::new(mix, pause, cpu.llc.capacity_bytes).lanes(cpu.cores);
+                    let run = run_streams(platform, lanes, backend.as_mut(), max_cycles);
+                    let (bw, rb) = (run.bandwidth.as_gbs(), run.memory.row_buffer);
+                    vec![
+                        model.to_string(),
+                        traffic,
+                        pause.to_string(),
+                        format!("{bw:.1}"),
+                        format!("{:.0}", rb.hit_rate() * 100.0),
+                        format!("{:.0}", rb.empty_rate() * 100.0),
+                        format!("{:.0}", rb.miss_rate() * 100.0),
+                    ]
+                }));
+            }
         }
     }
-    let total = legs.len();
-    let rows = mess_exec::par_map(legs, |leg_index, (i, mix, pause)| {
-        let traffic_label = if mix == 0.0 {
-            "100%-read".to_string()
-        } else {
-            format!("{:.0}%-store", mix * 100.0)
-        };
-        let label = format!(
-            "{} {traffic_label} pause {pause}",
-            factories[i].kind().label()
-        );
-        observed_leg(sink, &spec.id, label, leg_index, total, || {
-            let mut backend = factories[i]
-                .build()
-                .expect("model construction is valid here");
-            let (bw, rb) = row_buffer_stats(&platform, backend.as_mut(), mix, pause, max_cycles);
-            vec![
-                factories[i].kind().label().to_string(),
-                traffic_label.clone(),
-                pause.to_string(),
-                format!("{bw:.1}"),
-                format!("{:.0}", rb.hit_rate() * 100.0),
-                format!("{:.0}", rb.empty_rate() * 100.0),
-                format!("{:.0}", rb.miss_rate() * 100.0),
-            ]
-        })
-    });
-    report.push_rows(rows);
+    report.push_rows(cx.run_legs(&ExecConfig::default(), legs));
     Ok(report)
 }
 
-fn run_mess_curves(
-    spec: &ScenarioSpec,
+fn mess_curves(
+    cx: &mut Context,
     platforms: &[PlatformRef],
     curves: &CurveSourceSpec,
     sweep: &SweepSpec,
-    options: &ScenarioOptions,
-    sets: &mut Vec<CurveSet>,
-    sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
     // The simulator's input curves resolve per platform: the reference family, a loaded
     // artifact, or a fresh characterization of the leg's own backend (the paper's
     // self-characterization loop).
-    let (legs, inputs): (Vec<Leg>, Vec<CurveFamily>) = platforms
+    let (legs, inputs): (Vec<CurveLeg>, Vec<CurveFamily>) = platforms
         .iter()
-        .map(|leg| Leg::mess(leg, curves, "mess", options))
+        .map(|p| CurveLeg::mess(p, curves, "mess", cx.options))
         .collect::<Result<Vec<_>, _>>()?
         .into_iter()
         .unzip();
-    let mut report = ExperimentReport::new(
-        &spec.id,
-        &spec.title,
-        &[
-            "platform",
-            "input_unloaded_ns",
-            "simulated_unloaded_ns",
-            "input_max_bw_gbs",
-            "simulated_max_bw_gbs",
-            "max_bw_error_pct",
-        ],
-    );
-    let simulated = characterize_legs(spec, sweep, &legs, sets, sink, |leg, family| {
+    let mut report = cx.report(&[
+        "platform",
+        "input_unloaded_ns",
+        "simulated_unloaded_ns",
+        "input_max_bw_gbs",
+        "simulated_max_bw_gbs",
+        "max_bw_error_pct",
+    ]);
+    let simulated = cx.characterize_legs(sweep, &legs, |leg, family| {
         FamilyMetrics::compute(family, leg.platform.theoretical_bandwidth())
     })?;
     for ((leg, input), simulated) in legs.iter().zip(&inputs).zip(simulated) {
@@ -1131,72 +1082,49 @@ fn run_mess_curves(
     Ok(report)
 }
 
-fn run_ipc_error(
-    spec: &ScenarioSpec,
+fn ipc_error(
+    cx: &mut Context,
     models: &[ModelSpec],
     workloads: &[WorkloadSpec],
     max_cycles: u64,
-    options: &ScenarioOptions,
-    sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
-    let platform = spec.platform.resolve();
-    let factories = resolve_factories(models, &platform, options)?;
-
-    let mut headers: Vec<String> = vec!["memory_model".to_string()];
-    headers.extend(workloads.iter().map(|w| w.label()));
-    headers.push("average".to_string());
-    let mut report = ExperimentReport::new(&spec.id, &spec.title, &[]);
-    report.headers = headers;
-
-    // Reference IPCs from the detailed DRAM model, one private DRAM system per workload leg.
-    let indices: Vec<usize> = (0..workloads.len()).collect();
-    let reference_total = indices.len();
-    let reference: Vec<f64> = mess_exec::par_map(indices, |_, i| {
-        let label = format!("reference:{}", workloads[i].label());
-        observed_leg(sink, &spec.id, label, i, reference_total, || {
+    let factories = cx.factories(models)?;
+    let platform = &cx.platform;
+    // One plan: a reference leg per workload on a private detailed DRAM system, then the
+    // (model × workload) grid, each leg building a private model instance from its shared
+    // factory. Every leg yields an IPC; the errors are computed once all have run.
+    let reference = workloads.iter().map(|w| {
+        Leg::new(format!("reference:{}", w.label()), move || {
             let mut dram = platform.build_dram();
-            spec_workload_ipc(&workloads[i], &platform, &mut dram, max_cycles)
+            spec_workload_ipc(w, platform, &mut dram, max_cycles)
         })
     });
-
-    // The full (model × workload) grid runs in parallel; every leg builds a private model
-    // instance, but the factories (which carry a platform clone and, for curve-driven
-    // models, the generated reference family) are created once per model and shared.
-    // Results come back in grid order, so the rows (and the per-model averages computed
-    // from them) are identical to the sequential loop's.
-    let mut grid: Vec<(usize, usize, f64)> = Vec::new();
-    for model_idx in 0..models.len() {
-        for (i, _) in workloads.iter().enumerate() {
-            grid.push((model_idx, i, reference[i]));
-        }
-    }
-    let grid_total = grid.len();
-    let errors = mess_exec::par_map(
-        grid,
-        |leg_index, (model_idx, workload_idx, reference_ipc)| {
-            let label = format!(
-                "{}:{}",
-                models[model_idx].kind.label(),
-                workloads[workload_idx].label()
-            );
-            observed_leg(sink, &spec.id, label, leg_index, grid_total, || {
-                let mut backend = factories[model_idx]
-                    .build()
-                    .expect("model construction is valid here");
-                let ipc = spec_workload_ipc(
-                    &workloads[workload_idx],
-                    &platform,
-                    backend.as_mut(),
-                    max_cycles,
-                );
-                ipc_error_percent(ipc, reference_ipc)
+    let grid = factories.iter().flat_map(|factory| {
+        workloads.iter().map(move |w| {
+            let label = format!("{}:{}", factory.kind().label(), w.label());
+            Leg::new(label, move || {
+                let mut backend = factory.build().expect("model construction is valid here");
+                spec_workload_ipc(w, platform, backend.as_mut(), max_cycles)
             })
-        },
-    );
-    for (model, model_errors) in models.iter().zip(errors.chunks(workloads.len())) {
+        })
+    });
+    let ipcs = cx.run_legs(&ExecConfig::default(), reference.chain(grid).collect());
+    let (reference, simulated) = ipcs.split_at(workloads.len());
+
+    let mut report = cx.report(&[]);
+    report.headers = std::iter::once("memory_model".to_string())
+        .chain(workloads.iter().map(|w| w.label()))
+        .chain(["average".to_string()])
+        .collect();
+    for (model, ipcs) in models.iter().zip(simulated.chunks(workloads.len())) {
+        let errors: Vec<f64> = ipcs
+            .iter()
+            .zip(reference)
+            .map(|(&ipc, &r)| ipc_error_percent(ipc, r))
+            .collect();
         let mut cells = vec![model.kind.label().to_string()];
-        cells.extend(model_errors.iter().map(|err| format!("{err:.1}")));
-        let avg = model_errors.iter().sum::<f64>() / model_errors.len() as f64;
+        cells.extend(errors.iter().map(|err| format!("{err:.1}")));
+        let avg = errors.iter().sum::<f64>() / errors.len() as f64;
         cells.push(format!("{avg:.1}"));
         report.push_row(cells);
     }
@@ -1207,36 +1135,26 @@ fn run_ipc_error(
     Ok(report)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_cxl_hosts(
-    spec: &ScenarioSpec,
+fn cxl_hosts(
+    cx: &mut Context,
     hosts: &[PlatformRef],
     curves: &CurveSourceSpec,
     device_peak_gbs: f64,
     sweep: &SweepSpec,
-    options: &ScenarioOptions,
-    sets: &mut Vec<CurveSet>,
-    sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
     let device_peak = Bandwidth::from_gbs(device_peak_gbs);
-    let manufacturer = resolve_curves(curves, &spec.platform.resolve(), options)?;
-    let reference = FamilyMetrics::compute(&manufacturer, device_peak);
+    let reference = FamilyMetrics::compute(&cx.curves(curves)?, device_peak);
     // One leg per simulated host, each characterizing a curve-driven Mess simulator.
-    let legs: Vec<Leg> = hosts
+    let legs: Vec<CurveLeg> = hosts
         .iter()
-        .map(|host| Ok(Leg::mess(host, curves, "cxl", options)?.0))
+        .map(|host| Ok(CurveLeg::mess(host, curves, "cxl", cx.options)?.0))
         .collect::<Result<_, MessError>>()?;
-
-    let mut report = ExperimentReport::new(
-        &spec.id,
-        &spec.title,
-        &[
-            "host",
-            "unloaded_ns",
-            "max_bandwidth_gbs",
-            "max_bw_pct_of_cxl_peak",
-        ],
-    );
+    let mut report = cx.report(&[
+        "host",
+        "unloaded_ns",
+        "max_bandwidth_gbs",
+        "max_bw_pct_of_cxl_peak",
+    ]);
     report.push_row(vec![
         "manufacturer-model".to_string(),
         format!("{:.0}", reference.unloaded_latency.as_ns()),
@@ -1246,7 +1164,7 @@ fn run_cxl_hosts(
             reference.saturated_bandwidth_range.high_fraction * 100.0
         ),
     ]);
-    let rows = characterize_legs(spec, sweep, &legs, sets, sink, |leg, family| {
+    let rows = cx.characterize_legs(sweep, &legs, |leg, family| {
         let m = FamilyMetrics::compute(family, device_peak);
         vec![
             leg.platform.id.key().to_string(),
@@ -1259,39 +1177,15 @@ fn run_cxl_hosts(
     Ok(report)
 }
 
-/// Runs one SPEC-like workload on a host whose memory is modelled by `curves`, returning
-/// (IPC, bandwidth utilisation of the device peak).
-fn run_spec_on(
-    platform: &PlatformSpec,
-    workload: &mess_workloads::SpecWorkload,
-    curves: CurveFamily,
-    ops_per_core: u64,
-    max_cycles: u64,
-    device_peak_gbs: f64,
-) -> (f64, f64) {
-    let config = MessSimulatorConfig::new(curves, platform.frequency, platform.cpu.on_chip_latency);
-    let mut backend = MessSimulator::new(config).expect("curve families are valid");
-    let streams: Vec<Box<dyn OpStream>> =
-        workload.multiprogrammed(platform.cpu.cores, ops_per_core);
-    let mut engine = Engine::from_boxed(platform.cpu_config(), streams);
-    let report = engine.run(&mut backend, StopCondition::AllStreamsDone, max_cycles);
-    let utilisation = report.bandwidth.as_gbs() / device_peak_gbs;
-    (report.ipc(), utilisation)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_cxl_vs_remote(
-    spec: &ScenarioSpec,
+fn cxl_vs_remote(
+    cx: &mut Context,
     benchmarks: &[String],
     ops_per_core: u64,
     max_cycles: u64,
     expander: &CurveSourceSpec,
     emulation: &CurveSourceSpec,
     device_peak_gbs: f64,
-    options: &ScenarioOptions,
-    sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
-    let platform = spec.platform.resolve();
     let suite: Vec<mess_workloads::SpecWorkload> = benchmarks
         .iter()
         .map(|name| {
@@ -1300,92 +1194,78 @@ fn run_cxl_vs_remote(
             })
         })
         .collect::<Result<_, _>>()?;
-    let cxl_curves = resolve_curves(expander, &platform, options)?;
-    let remote_curves = resolve_curves(emulation, &platform, options)?;
-
-    let mut report = ExperimentReport::new(
-        &spec.id,
-        &spec.title,
-        &[
-            "benchmark",
-            "cxl_bw_utilisation_pct",
-            "class",
-            "ipc_cxl",
-            "ipc_remote_socket",
-            "perf_difference_pct",
-        ],
-    );
+    let cxl_curves = &cx.curves(expander)?;
+    let remote_curves = &cx.curves(emulation)?;
+    let mut report = cx.report(&[
+        "benchmark",
+        "cxl_bw_utilisation_pct",
+        "class",
+        "ipc_cxl",
+        "ipc_remote_socket",
+        "perf_difference_pct",
+    ]);
     // One leg per benchmark: both the CXL and the remote-socket runs of a benchmark happen
     // on the same worker (they feed one row), different benchmarks run concurrently.
-    let suite_total = suite.len();
-    let rows = mess_exec::par_map(suite, |i, w| {
-        observed_leg(sink, &spec.id, w.name.to_string(), i, suite_total, || {
-            let (ipc_cxl, utilisation) = run_spec_on(
-                &platform,
-                &w,
-                cxl_curves.clone(),
-                ops_per_core,
-                max_cycles,
-                device_peak_gbs,
-            );
-            let (ipc_remote, _) = run_spec_on(
-                &platform,
-                &w,
-                remote_curves.clone(),
-                ops_per_core,
-                max_cycles,
-                device_peak_gbs,
-            );
-            let diff = (ipc_remote - ipc_cxl) / ipc_cxl.max(1e-12) * 100.0;
-            let class = match classify_utilisation(utilisation) {
-                IntensityClass::Low => "low",
-                IntensityClass::Medium => "medium",
-                IntensityClass::High => "high",
-            };
-            vec![
-                w.name.to_string(),
-                format!("{:.0}", utilisation * 100.0),
-                class.to_string(),
-                format!("{ipc_cxl:.3}"),
-                format!("{ipc_remote:.3}"),
-                format!("{diff:+.1}"),
-            ]
+    let platform = &cx.platform;
+    // Runs benchmark `w` against a Mess simulator fed `curves`, returning the IPC and the
+    // bandwidth utilisation of the device peak.
+    let run = move |w: &mess_workloads::SpecWorkload, curves: &CurveFamily| {
+        let (frequency, on_chip) = (platform.frequency, platform.cpu.on_chip_latency);
+        let config = MessSimulatorConfig::new(curves.clone(), frequency, on_chip);
+        let mut backend = MessSimulator::new(config).expect("curve families are valid");
+        let streams = w.multiprogrammed(platform.cpu.cores, ops_per_core);
+        let report = run_streams(platform, streams, &mut backend, max_cycles);
+        (report.ipc(), report.bandwidth.as_gbs() / device_peak_gbs)
+    };
+    let legs = suite
+        .iter()
+        .map(|w| {
+            Leg::new(w.name, move || {
+                let (ipc_cxl, utilisation) = run(w, cxl_curves);
+                let (ipc_remote, _) = run(w, remote_curves);
+                let diff = (ipc_remote - ipc_cxl) / ipc_cxl.max(1e-12) * 100.0;
+                let class = match classify_utilisation(utilisation) {
+                    IntensityClass::Low => "low",
+                    IntensityClass::Medium => "medium",
+                    IntensityClass::High => "high",
+                };
+                vec![
+                    w.name.to_string(),
+                    format!("{:.0}", utilisation * 100.0),
+                    class.to_string(),
+                    format!("{ipc_cxl:.3}"),
+                    format!("{ipc_remote:.3}"),
+                    format!("{diff:+.1}"),
+                ]
+            })
         })
-    });
-    report.push_rows(rows);
+        .collect();
+    report.push_rows(cx.run_legs(&ExecConfig::default(), legs));
     Ok(report)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_profile(
-    spec: &ScenarioSpec,
+fn profile(
+    cx: &mut Context,
     workload: &WorkloadSpec,
     model: &ModelSpec,
     curves: &CurveSourceSpec,
     window_us: f64,
     phase_threshold: f64,
     max_cycles: u64,
-    options: &ScenarioOptions,
-    sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
-    let platform = spec.platform.resolve();
-    let factory = resolve_factory(model, &platform, options)?;
-    let family = resolve_curves(curves, &platform, options)?;
-    let timeline = observed_leg(sink, &spec.id, workload.label(), 0, 1, || {
-        profile_workload(&platform, workload, &factory, family, window_us, max_cycles)
+    let factory = resolve_factory(model, &cx.platform, cx.options)?;
+    let family = cx.curves(curves)?;
+    let platform = &cx.platform;
+    let timeline = cx.run_leg(workload.label(), || {
+        profile_workload(platform, workload, &factory, family, window_us, max_cycles)
     })?;
-
-    let mut report = ExperimentReport::new(
-        &spec.id,
-        &spec.title,
-        &[
-            "time_us",
-            "bandwidth_gbs",
-            "read_percent",
-            "latency_ns",
-            "stress_score",
-        ],
-    );
+    let mut report = cx.report(&[
+        "time_us",
+        "bandwidth_gbs",
+        "read_percent",
+        "latency_ns",
+        "stress_score",
+    ]);
     for s in &timeline.samples {
         report.push_row(vec![
             format!("{:.1}", s.sample.time_us),
@@ -1408,35 +1288,29 @@ fn run_profile(
     Ok(report)
 }
 
-fn run_single(
-    spec: &ScenarioSpec,
+fn single_run(
+    cx: &mut Context,
     workload: &WorkloadSpec,
     model: &ModelSpec,
     max_cycles: u64,
-    options: &ScenarioOptions,
-    sink: &dyn ProgressSink,
 ) -> Result<ExperimentReport, MessError> {
-    let platform = spec.platform.resolve();
-    let cpu = platform.cpu_config();
-    let streams = workload.streams(cpu.llc.capacity_bytes, cpu.cores)?;
-    let mut backend = resolve_factory(model, &platform, options)?.build()?;
-    let run = observed_leg(sink, &spec.id, workload.label(), 0, 1, || {
-        run_streams(&platform, streams, backend.as_mut(), max_cycles)
-    });
-
-    let mut report = ExperimentReport::new(
-        &spec.id,
-        &spec.title,
-        &[
-            "workload",
-            "memory_model",
-            "platform",
-            "ipc",
-            "bandwidth_gbs",
-            "instructions",
-            "cycles",
-        ],
-    );
+    let factory = resolve_factory(model, &cx.platform, cx.options)?;
+    let platform = &cx.platform;
+    let run = cx.run_leg(workload.label(), || {
+        let cpu = platform.cpu_config();
+        let streams = workload.streams(cpu.llc.capacity_bytes, cpu.cores)?;
+        let mut backend = factory.build()?;
+        Ok::<_, MessError>(run_streams(platform, streams, backend.as_mut(), max_cycles))
+    })?;
+    let mut report = cx.report(&[
+        "workload",
+        "memory_model",
+        "platform",
+        "ipc",
+        "bandwidth_gbs",
+        "instructions",
+        "cycles",
+    ]);
     report.push_row(vec![
         workload.label(),
         model.kind.label().to_string(),
@@ -1672,48 +1546,194 @@ mod tests {
     #[test]
     fn observed_runs_narrate_legs_without_changing_results() {
         use std::sync::Mutex;
-        let spec = ScenarioSpec {
-            id: "observed".into(),
-            title: "observed".into(),
-            platform: PlatformRef::quick(PlatformId::IntelSkylake),
-            kind: ScenarioKind::ModelComparison {
-                models: vec![
-                    ModelSpec::of(MemoryModelKind::FixedLatency),
-                    ModelSpec::of(MemoryModelKind::Md1Queue),
-                ],
-                sweep: SweepSpec::preset(SweepPreset::Reduced),
-            },
-            notes: vec![],
+        let skylake = PlatformRef::quick(PlatformId::IntelSkylake);
+        let sweep = || SweepSpec::preset(SweepPreset::Reduced);
+        let fixed = || ModelSpec::of(MemoryModelKind::FixedLatency);
+        let cxl = || CurveSourceSpec::CxlManufacturer {
+            host_link_ns: 180.0,
         };
-        let events: Mutex<Vec<ProgressEvent>> = Mutex::new(Vec::new());
-        let sink = |event: ProgressEvent| events.lock().unwrap().push(event);
-        let observed = run_scenario_observed(&spec, &ScenarioOptions::default(), &sink).unwrap();
-        let silent = run_scenario_with(&spec, &ScenarioOptions::default()).unwrap();
-        assert_eq!(
-            observed.report, silent.report,
-            "the sink must not perturb results"
-        );
-        assert_eq!(observed.curve_sets, silent.curve_sets);
+        // One small spec per kind, with the number of legs its plan runs.
+        let kinds = [
+            (
+                "curve-family",
+                2,
+                ScenarioKind::CurveFamily {
+                    model: fixed(),
+                    sweep: sweep(),
+                    stream_llc_multiple: Some(0),
+                    paper_reference: true,
+                },
+            ),
+            (
+                "platform-table",
+                1,
+                ScenarioKind::PlatformTable {
+                    platforms: vec![skylake],
+                    model: fixed(),
+                    sweep: sweep(),
+                    stream_llc_multiple: 0,
+                },
+            ),
+            (
+                "model-comparison",
+                2,
+                ScenarioKind::ModelComparison {
+                    models: vec![fixed(), ModelSpec::of(MemoryModelKind::Md1Queue)],
+                    sweep: sweep(),
+                },
+            ),
+            (
+                "trace-replay",
+                3,
+                ScenarioKind::TraceReplay {
+                    models: vec![ModelSpec::of(MemoryModelKind::Md1Queue)],
+                    trace_ops: 300,
+                    trace_pause: 20,
+                    speeds: vec![1.0, 2.0],
+                },
+            ),
+            (
+                "row-buffer",
+                2,
+                ScenarioKind::RowBuffer {
+                    models: vec![ModelSpec::of(MemoryModelKind::DetailedDram)],
+                    store_mixes: vec![0.0, 1.0],
+                    pauses: vec![0],
+                    max_cycles: 20_000,
+                },
+            ),
+            (
+                "mess-curves",
+                1,
+                ScenarioKind::MessCurves {
+                    platforms: vec![skylake],
+                    curves: CurveSourceSpec::PlatformReference,
+                    sweep: sweep(),
+                },
+            ),
+            (
+                "ipc-error",
+                4,
+                ScenarioKind::IpcError {
+                    models: vec![fixed()],
+                    workloads: vec![WorkloadSpec::gups(300), WorkloadSpec::multichase(300)],
+                    max_cycles: 400_000,
+                },
+            ),
+            (
+                "cxl-hosts",
+                1,
+                ScenarioKind::CxlHosts {
+                    hosts: vec![skylake],
+                    curves: cxl(),
+                    device_peak_gbs: 43.6,
+                    sweep: sweep(),
+                },
+            ),
+            (
+                "cxl-vs-remote",
+                1,
+                ScenarioKind::CxlVsRemote {
+                    benchmarks: vec!["lbm".into()],
+                    ops_per_core: 300,
+                    max_cycles: 400_000,
+                    expander: cxl(),
+                    emulation: CurveSourceSpec::RemoteSocket,
+                    device_peak_gbs: 43.6,
+                },
+            ),
+            (
+                "profile",
+                1,
+                ScenarioKind::Profile {
+                    workload: WorkloadSpec::gups(300),
+                    model: fixed(),
+                    curves: CurveSourceSpec::PlatformReference,
+                    window_us: 1.0,
+                    phase_threshold: 0.5,
+                    max_cycles: 400_000,
+                },
+            ),
+            (
+                "run",
+                1,
+                ScenarioKind::Run {
+                    workload: WorkloadSpec::gups(300),
+                    model: fixed(),
+                    max_cycles: 400_000,
+                },
+            ),
+        ];
+        for (id, legs, kind) in kinds {
+            let spec = ScenarioSpec {
+                id: id.into(),
+                title: id.into(),
+                platform: skylake,
+                kind,
+                notes: vec![],
+            };
+            let events: Mutex<Vec<ProgressEvent>> = Mutex::new(Vec::new());
+            let sink = |event: ProgressEvent| events.lock().unwrap().push(event);
+            let observed =
+                run_scenario_observed(&spec, &ScenarioOptions::default(), &sink).unwrap();
+            let silent = run_scenario_with(&spec, &ScenarioOptions::default()).unwrap();
+            assert_eq!(
+                observed.report, silent.report,
+                "{id}: the sink must not perturb results"
+            );
+            assert_eq!(observed.curve_sets, silent.curve_sets, "{id}");
 
-        let events = events.into_inner().unwrap();
-        assert!(matches!(
-            events.first(),
-            Some(ProgressEvent::ScenarioStarted { .. })
-        ));
-        assert!(
-            matches!(events.last(), Some(ProgressEvent::ScenarioFinished { rows, .. }) if *rows == 2)
-        );
-        let started = events
-            .iter()
-            .filter(|e| matches!(e, ProgressEvent::LegStarted { .. }))
-            .count();
-        let finished = events
-            .iter()
-            .filter(|e| matches!(e, ProgressEvent::LegFinished { .. }))
-            .count();
-        assert_eq!(started, 2, "one leg per model");
-        assert_eq!(finished, 2);
-        assert!(events.iter().all(|e| e.scenario() == "observed"));
+            let events = events.into_inner().unwrap();
+            assert!(events.iter().all(|e| e.scenario() == id), "{id}");
+            assert!(matches!(
+                events.first(),
+                Some(ProgressEvent::ScenarioStarted { .. })
+            ));
+            assert!(
+                matches!(events.last(), Some(ProgressEvent::ScenarioFinished { rows, artifacts, .. })
+                    if *rows == observed.report.rows.len() && *artifacts == observed.curve_sets.len()),
+                "{id}: {:?}",
+                events.last()
+            );
+            // Fan-outs run one after another, so a fan-out is complete once as many of its
+            // legs finished as its `total`; the next start opens the next fan-out.
+            let mut fanouts: Vec<(usize, Vec<usize>, Vec<usize>)> = Vec::new();
+            for event in &events[1..events.len() - 1] {
+                match event {
+                    ProgressEvent::LegStarted { index, total, .. } => {
+                        if fanouts.last().is_none_or(|(t, _, done)| done.len() == *t) {
+                            fanouts.push((*total, Vec::new(), Vec::new()));
+                        }
+                        let (t, started, _) = fanouts.last_mut().unwrap();
+                        assert_eq!(t, total, "{id}: one total per fan-out");
+                        started.push(*index);
+                    }
+                    ProgressEvent::LegFinished { index, total, .. } => {
+                        let (t, started, done) = fanouts.last_mut().expect("a leg started");
+                        assert_eq!(t, total, "{id}: one total per fan-out");
+                        assert!(
+                            started.contains(index),
+                            "{id}: leg {index} finished unstarted"
+                        );
+                        done.push(*index);
+                    }
+                    other => panic!("{id}: unexpected {other:?}"),
+                }
+            }
+            assert!(
+                !fanouts.is_empty(),
+                "{id}: every kind runs at least one leg"
+            );
+            let run: usize = fanouts.iter().map(|(total, ..)| total).sum();
+            assert_eq!(run, legs, "{id}: legs run");
+            for (total, mut started, mut done) in fanouts {
+                started.sort_unstable();
+                done.sort_unstable();
+                let every: Vec<usize> = (0..total).collect();
+                assert_eq!(started, every, "{id}: each index below total starts once");
+                assert_eq!(done, every, "{id}: each index below total finishes once");
+            }
+        }
     }
 
     #[test]

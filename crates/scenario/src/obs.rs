@@ -2,8 +2,8 @@
 //!
 //! Spans are *not* opened here: the per-scenario and per-leg span timeline is built by
 //! [`crate::progress::TraceProgress`] on the `ProgressSink` seam, and the characterize
-//! phase opens its span inline in [`crate::engine::resolve_curves`] where the timing is
-//! exact.
+//! phase opens its span inline in the engine's one characterization helper, where the
+//! timing is exact.
 
 use std::sync::OnceLock;
 
@@ -13,10 +13,12 @@ use std::sync::Arc;
 pub(crate) struct ScenarioMetrics {
     /// `mess_scenario_runs_total`: scenarios executed (validation passed).
     pub runs: Arc<Counter>,
-    /// `mess_scenario_legs_total`: parallel legs executed across all scenarios.
+    /// `mess_scenario_legs_total`: legs executed across all scenarios, counted by the
+    /// engine's one leg runner.
     pub legs: Arc<Counter>,
-    /// `mess_scenario_characterizations_total`: curve characterizations performed (cache
-    /// misses of the curve-resolution path).
+    /// `mess_scenario_characterizations_total`: curve characterizations performed, one per
+    /// characterization leg of a curve-measuring kind and one per `Characterized` curve
+    /// source resolved.
     pub characterizations: Arc<Counter>,
 }
 
@@ -31,7 +33,7 @@ impl ScenarioMetrics {
                     .counter("mess_scenario_runs_total", "Scenarios executed")
                     .expect(expect),
                 legs: registry
-                    .counter("mess_scenario_legs_total", "Parallel legs executed")
+                    .counter("mess_scenario_legs_total", "Scenario legs executed")
                     .expect(expect),
                 characterizations: registry
                     .counter(

@@ -9,9 +9,10 @@
 //!
 //! Events carry owned strings (not borrows into the spec) so sinks can queue them beyond
 //! the run's lifetime. Emission order is deterministic *per leg* — a leg's `LegStarted`
-//! always precedes its `LegFinished` — but legs of one scenario run concurrently, so
-//! events of different legs interleave according to the actual schedule. That interleaving
-//! is reporting-only: the run's outputs stay byte-identical at any worker count.
+//! always precedes its `LegFinished` — but the legs of one fan-out run concurrently, so
+//! events of different legs interleave according to the actual schedule. A scenario may run
+//! several fan-outs, one after another. That interleaving is reporting-only: the run's
+//! outputs stay byte-identical at any worker count.
 //!
 //! This module also owns the event's two canonical renderings, so no consumer invents its
 //! own: the serde derive is the JSON wire shape (`mess-serve` embeds the event verbatim
@@ -31,26 +32,28 @@ pub enum ProgressEvent {
         /// The scenario's id.
         scenario: String,
     },
-    /// A parallel leg (one platform, model, workload, ... of the fan-out) was picked up.
+    /// A leg (one platform, model, workload, ... of a fan-out) was picked up.
     LegStarted {
         /// The scenario's id.
         scenario: String,
         /// Human-readable leg label (platform key, model label, workload name, ...).
         leg: String,
-        /// The leg's index in spec order.
+        /// The leg's index in its fan-out, in spec order.
         index: usize,
-        /// Total legs of this fan-out.
+        /// Legs in this fan-out. A scenario may run more than one fan-out in sequence
+        /// (fig2 characterizes, then runs STREAM), each with its own `total` and indices
+        /// counted from 0.
         total: usize,
     },
-    /// A parallel leg finished computing its rows.
+    /// A leg finished computing its result.
     LegFinished {
         /// The scenario's id.
         scenario: String,
         /// Human-readable leg label (platform key, model label, workload name, ...).
         leg: String,
-        /// The leg's index in spec order.
+        /// The leg's index in its fan-out, in spec order.
         index: usize,
-        /// Total legs of this fan-out.
+        /// Legs in this fan-out (see [`ProgressEvent::LegStarted`]).
         total: usize,
     },
     /// The scenario's report (and artifacts) are complete.
@@ -117,7 +120,7 @@ impl std::fmt::Display for ProgressEvent {
 }
 
 /// Receives [`ProgressEvent`]s from a running scenario. `Sync` because the engine emits
-/// from its parallel leg workers.
+/// from its leg workers.
 pub trait ProgressSink: Sync {
     /// Delivers one event. Implementations must be cheap (or buffer internally): they run
     /// on the engine's worker threads.

@@ -56,8 +56,8 @@ impl ExperimentReport {
         self.rows.push(cells);
     }
 
-    /// Appends every row of a batch in order — the collection side of the engine's
-    /// parallel legs, which compute rows with `mess_exec::par_map` and push them here.
+    /// Appends every row of a batch in order — the collection side of the engine's leg
+    /// runner, which returns one result per leg in leg order.
     pub fn push_rows(&mut self, rows: impl IntoIterator<Item = Vec<String>>) {
         for row in rows {
             self.push_row(row);

@@ -15,6 +15,7 @@ use mess_bench::SweepSpec;
 use mess_platforms::{CurveSourceSpec, ModelSpec, PlatformRef};
 use mess_types::MessError;
 use mess_workloads::spec::WorkloadSpec;
+use mess_workloads::StreamKernel;
 use serde::{Deserialize, Serialize};
 
 /// The shape of one experiment, with every knob as serializable data.
@@ -246,21 +247,51 @@ impl ScenarioSpec {
                 .try_for_each(PlatformRef::validate)
                 .map_err(|e| MessError::InvalidConfig(format!("scenario `{}`: {e}", self.id)))
         };
+        // STREAM's arrays of `llc_multiple` LLCs must compile on every platform the kernels
+        // run on: the product must fit `u64`, and each array must fit below the next array's
+        // base. `0` asks for the 4 MiB floor, which always fits.
+        let stream_arrays = |refs: &[PlatformRef], llc_multiple: u64| {
+            if llc_multiple == 0 {
+                return Ok(());
+            }
+            refs.iter()
+                .try_for_each(|platform| {
+                    let cpu = platform.resolve().cpu_config();
+                    WorkloadSpec::stream(StreamKernel::Copy, llc_multiple)
+                        .streams(cpu.llc.capacity_bytes, cpu.cores)
+                        .map(drop)
+                })
+                .map_err(|e| {
+                    MessError::InvalidConfig(format!(
+                        "scenario `{}`: stream_llc_multiple: {e}",
+                        self.id
+                    ))
+                })
+        };
         platform_refs(std::slice::from_ref(&self.platform))?;
         match &self.kind {
-            ScenarioKind::CurveFamily { model, sweep, .. } => {
+            ScenarioKind::CurveFamily {
+                model,
+                sweep,
+                stream_llc_multiple,
+                ..
+            } => {
                 model_specs(std::slice::from_ref(model))?;
+                if let Some(llc_multiple) = stream_llc_multiple {
+                    stream_arrays(std::slice::from_ref(&self.platform), *llc_multiple)?;
+                }
                 sweep.validate()
             }
             ScenarioKind::PlatformTable {
                 platforms,
                 model,
                 sweep,
-                ..
+                stream_llc_multiple,
             } => {
                 nonempty("platforms", platforms.len())?;
                 platform_refs(platforms)?;
                 model_specs(std::slice::from_ref(model))?;
+                stream_arrays(platforms, *stream_llc_multiple)?;
                 sweep.validate()
             }
             ScenarioKind::ModelComparison { models, sweep } => {
@@ -443,7 +474,6 @@ mod tests {
     use super::*;
     use mess_bench::{SweepPreset, SweepSpec};
     use mess_platforms::{MemoryModelKind, PlatformId};
-    use mess_workloads::StreamKernel;
 
     fn run_spec(id: &str) -> ScenarioSpec {
         ScenarioSpec {
@@ -531,6 +561,50 @@ mod tests {
             speeds: vec![1.0, 0.0],
         };
         assert!(spec.validate().is_err(), "zero replay speed");
+    }
+
+    #[test]
+    fn stream_arrays_must_fit_between_their_bases() {
+        // STREAM's arrays sit 4 GiB apart: a larger array overlaps the next one, and a
+        // multiple whose product overflows `u64` would wrap in a release build.
+        let skylake = PlatformRef::quick(PlatformId::IntelSkylake);
+        let llc = skylake.resolve().cpu_config().llc.capacity_bytes;
+        let at_limit = (4 << 30) / llc;
+        let model = ModelSpec::of(MemoryModelKind::DetailedDram);
+        let sweep = SweepSpec::preset(SweepPreset::Reduced);
+        let curve_family = |stream_llc_multiple| ScenarioKind::CurveFamily {
+            model: model.clone(),
+            sweep: sweep.clone(),
+            stream_llc_multiple,
+            paper_reference: false,
+        };
+        let table = |stream_llc_multiple| ScenarioKind::PlatformTable {
+            platforms: vec![PlatformRef::quick(PlatformId::AmazonGraviton3), skylake],
+            model: model.clone(),
+            sweep: sweep.clone(),
+            stream_llc_multiple,
+        };
+        let mut spec = run_spec("stream-arrays");
+        for (kind, valid) in [
+            (curve_family(None), true),
+            (curve_family(Some(0)), true),
+            (curve_family(Some(at_limit)), true),
+            (curve_family(Some(at_limit + 1)), false),
+            (curve_family(Some(u64::MAX)), false),
+            (table(0), true),
+            (table(at_limit + 1), false),
+            (table(u64::MAX), false),
+        ] {
+            spec.kind = kind;
+            match spec.validate() {
+                Ok(()) => assert!(valid, "{:?} must be rejected", spec.kind),
+                Err(MessError::InvalidConfig(message)) => {
+                    assert!(!valid, "{message}");
+                    assert!(message.contains("stream-arrays"), "{message}");
+                }
+                Err(other) => panic!("{other:?}"),
+            }
+        }
     }
 
     #[test]

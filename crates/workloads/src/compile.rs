@@ -32,7 +32,7 @@ use crate::latency::{chase_build_bytes, CHASE_BASE};
 use crate::random::{GUPS_BASE, HPCG_GATHER_BASE, HPCG_MATRIX_BASE};
 use crate::spec::{WorkloadSpec, MIN_STREAM_BYTES};
 use crate::spec_suite;
-use crate::stream::ARRAY_C_BASE;
+use crate::stream::{ARRAY_C_BASE, MAX_ARRAY_BYTES};
 use crate::{GupsConfig, HpcgConfig, LatMemRdConfig, MultichaseConfig, StreamConfig};
 use mess_cpu::{OpStream, PackedOp, VecStream};
 use mess_types::MessError;
@@ -111,6 +111,14 @@ pub fn compile(
                 cores,
             };
             within_address_range(spec, "array", ARRAY_C_BASE, Some(config.array_bytes))?;
+            if config.array_bytes > MAX_ARRAY_BYTES {
+                return Err(MessError::InvalidConfig(format!(
+                    "{}: arrays of {} bytes would overlap, their bases are {MAX_ARRAY_BYTES} \
+                     bytes apart",
+                    spec.label(),
+                    config.array_bytes
+                )));
+            }
             // Per core: the kernel's per-line micro-sequence (a load per source array, a
             // store and a compute block).
             let body = (2 + kernel.source_arrays()) * cores.max(1) as u64;
@@ -298,6 +306,15 @@ mod tests {
             message.contains("STREAM") && message.contains("62-bit"),
             "{message}"
         );
+    }
+
+    #[test]
+    fn stream_arrays_larger_than_their_base_spacing_are_rejected() {
+        // The arrays sit 4 GiB apart: 4 GiB of array fits, one LLC more would overlap.
+        let at_limit = MAX_ARRAY_BYTES / LLC;
+        assert!(compile(&WorkloadSpec::stream(StreamKernel::Copy, at_limit), LLC, 2).is_ok());
+        let message = rejected(WorkloadSpec::stream(StreamKernel::Copy, at_limit + 1));
+        assert!(message.contains("overlap"), "{message}");
     }
 
     #[test]

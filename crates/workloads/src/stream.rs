@@ -138,6 +138,8 @@ const ARRAY_A_BASE: u64 = 0x1_0000_0000;
 const ARRAY_B_BASE: u64 = 0x2_0000_0000;
 /// Array C has the highest base, and every kernel touches it.
 pub(crate) const ARRAY_C_BASE: u64 = 0x3_0000_0000;
+/// The most bytes one array can hold: a larger array would run into the next array's base.
+pub(crate) const MAX_ARRAY_BYTES: u64 = ARRAY_B_BASE - ARRAY_A_BASE;
 
 /// The operations of `kernel`'s micro-sequence for cache line `line`: one load per source
 /// array, one store to the destination array, then the kernel's compute block.
