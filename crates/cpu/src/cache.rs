@@ -13,7 +13,8 @@
 //!
 //! Replacement is exact LRU, kept as order rather than as per-way state: each set stores its
 //! lines most recently used first, one packed field per line (the tag value plus a valid and
-//! a dirty bit), so a line costs 6 bytes on Skylake's geometry and never more than 8.
+//! a dirty bit). The field is as wide as the largest tag stored so far needs, so a line costs
+//! 2 or 3 bytes on Skylake's geometry for the repository's workloads and never more than 8.
 //! Associativity is bounded at [`MAX_WAYS`].
 
 use mess_types::CACHE_LINE_BYTES;
@@ -132,14 +133,6 @@ fn assert_ways_in_range(ways: u32) {
     );
 }
 
-/// Bytes of one packed field for a cache of `sets` sets: the bits of the largest tag any
-/// address can have, plus the valid and dirty bits, rounded up to whole bytes.
-fn field_bytes(sets: u64) -> usize {
-    let largest_tag = (u64::MAX / CACHE_LINE_BYTES) / sets;
-    let bits = u64::BITS - largest_tag.leading_zeros() + FIELD_TAG_SHIFT;
-    bits.div_ceil(8) as usize
-}
-
 /// The 8-byte little-endian window starting at `at`; a field is its low bytes.
 #[inline]
 fn read_window(bytes: &[u8], at: usize) -> u64 {
@@ -151,10 +144,13 @@ fn read_window(bytes: &[u8], at: usize) -> u64 {
 /// A set-associative, write-allocate, write-back last-level cache model.
 ///
 /// Each line is one packed field of `width` bytes, set-major and contiguous: the tag value
-/// shifted above a valid and a dirty bit, or all zeros for an empty slot. The width comes
-/// from the geometry, as the bits of the largest tag plus two: 6 bytes for Skylake's 32,768
-/// sets, 8 for a single set. A field is read through the 8-byte little-endian window at its
-/// offset, so the array carries 7 bytes past the last field.
+/// shifted above a valid and a dirty bit, or all zeros for an empty slot. The width follows
+/// the largest tag stored so far, as its bits plus two: a new cache holds no line state, the
+/// first access allocates it, and a tag too wide for the fields re-packs every field wider.
+/// The width never shrinks. On Skylake's 32,768 sets it is 2 bytes for addresses below
+/// 32 GiB (the STREAM arrays), 3 below 8 TiB (the sweep's traffic) and 6 for any address.
+/// A field is read through the 8-byte little-endian window at its offset, so the array
+/// carries 7 bytes past the last field.
 ///
 /// The order of a set's fields is its LRU state: most recently used first. The hit scan —
 /// the hottest loop in the whole engine, run once per memory instruction — walks
@@ -168,10 +164,12 @@ pub struct LastLevelCache {
     config: CacheConfig,
     /// `log2` of the set count ([`CacheConfig::sets`] is a power of two).
     set_bits: u32,
-    /// Bytes per packed field.
+    /// Bytes per packed field, 0 until the first access.
     width: usize,
     /// The bits of a field within its window.
     field_mask: u64,
+    /// The smallest tag a field of `width` bytes cannot hold.
+    tag_bound: u64,
     /// The fields of set `s` at `fields[s * ways * width..(s + 1) * ways * width]`, most
     /// recently used first, followed by [`WINDOW_PAD`] bytes.
     fields: Vec<u8>,
@@ -186,17 +184,37 @@ impl LastLevelCache {
     /// Panics if `config` has more than [`MAX_WAYS`] ways.
     pub fn new(config: CacheConfig) -> Self {
         assert_ways_in_range(config.ways);
-        let sets = config.sets();
-        let width = field_bytes(sets as u64);
-        let lines = sets * config.ways as usize;
         LastLevelCache {
             config,
-            set_bits: sets.trailing_zeros(),
-            width,
-            field_mask: u64::MAX >> (64 - 8 * width),
-            fields: vec![0; lines * width + WINDOW_PAD],
+            set_bits: config.sets().trailing_zeros(),
+            width: 0,
+            field_mask: 0,
+            tag_bound: 0,
+            fields: Vec::new(),
             stats: CacheStats::default(),
         }
+    }
+
+    /// Re-packs every field at the width `tag` needs: its bits plus the two flag bits,
+    /// rounded up to whole bytes and capped at 8. Each line keeps its slot, tag and flags;
+    /// on an empty cache this only allocates.
+    #[cold]
+    #[inline(never)]
+    fn widen(&mut self, tag: u64) {
+        let bits = u64::BITS - tag.leading_zeros() + FIELD_TAG_SHIFT;
+        let width = (bits.div_ceil(8) as usize).min(8);
+        let lines = self.config.sets() * self.config.ways as usize;
+        let mut fields = vec![0; lines * width + WINDOW_PAD];
+        if self.width > 0 {
+            for (line, to) in fields.chunks_exact_mut(width).take(lines).enumerate() {
+                let field = read_window(&self.fields, line * self.width) & self.field_mask;
+                to.copy_from_slice(&field.to_le_bytes()[..width]);
+            }
+        }
+        self.width = width;
+        self.field_mask = u64::MAX >> (64 - 8 * width);
+        self.tag_bound = 1 << (8 * width as u32 - FIELD_TAG_SHIFT);
+        self.fields = fields;
     }
 
     /// The configuration of this cache.
@@ -226,13 +244,17 @@ impl LastLevelCache {
             };
         }
         let line = addr / CACHE_LINE_BYTES;
+        let tag = line >> self.set_bits;
+        if tag >= self.tag_bound {
+            self.widen(tag);
+        }
         let set = line & ((1 << self.set_bits) - 1);
         let ways = self.config.ways as usize;
         let width = self.width;
         let mask = self.field_mask;
         let start = set as usize * ways * width;
         let fields = &mut self.fields[start..start + ways * width + WINDOW_PAD];
-        let wanted = (line >> self.set_bits) << FIELD_TAG_SHIFT | FIELD_VALID;
+        let wanted = tag << FIELD_TAG_SHIFT | FIELD_VALID;
         let dirty = if is_store { FIELD_DIRTY } else { 0 };
 
         // Hit path: one masked compare per slot over contiguous fields.
@@ -312,19 +334,28 @@ mod tests {
         let _ = LastLevelCache::new(config);
     }
 
-    /// Skylake's 33 MiB, 11-way LLC: 32,768 sets of 11 ways. Returns the cache, its line
-    /// count and the bytes of line state it keeps.
-    fn skylake_llc() -> (LastLevelCache, usize, usize) {
+    /// Skylake's 33 MiB, 11-way LLC: 32,768 sets of 11 ways, 360,448 lines.
+    fn skylake_llc() -> LastLevelCache {
         let c = LastLevelCache::new(CacheConfig::new(33 * 1024 * 1024, 11));
-        let lines = c.config().sets() * 11;
-        assert_eq!(lines, 360_448);
+        assert_eq!(c.config().sets() * 11, 360_448);
+        c
+    }
+
+    /// The bytes of line state `c` keeps, per line, with the window padding left out.
+    fn bytes_per_line(c: &LastLevelCache) -> usize {
+        let lines = c.config().sets() * c.config().ways as usize;
         let bytes = std::mem::size_of_val(c.fields.as_slice());
-        (c, lines, bytes)
+        assert_eq!(bytes, lines * c.width + WINDOW_PAD, "{lines} lines");
+        c.width
     }
 
     #[test]
     fn skylake_llc_keeps_at_most_nine_bytes_of_state_per_line() {
-        let (_, lines, bytes) = skylake_llc();
+        // The largest address has the largest tag, so it takes the widest field.
+        let mut c = skylake_llc();
+        c.access(u64::MAX, true);
+        let lines = c.config().sets() * 11;
+        let bytes = std::mem::size_of_val(c.fields.as_slice());
         assert!(
             bytes <= 9 * lines,
             "{bytes} bytes of tag and LRU state for {lines} lines"
@@ -332,19 +363,88 @@ mod tests {
     }
 
     #[test]
-    fn skylake_llc_keeps_six_bytes_of_state_per_line() {
-        let (c, lines, bytes) = skylake_llc();
-        assert_eq!(c.width, 6);
-        assert_eq!(bytes, 6 * lines + WINDOW_PAD, "{lines} lines");
+    fn a_fresh_cache_holds_no_line_state() {
+        let c = skylake_llc();
+        assert_eq!(c.width, 0);
+        assert_eq!(c.fields.capacity(), 0);
     }
 
     #[test]
-    fn field_width_follows_the_largest_tag() {
-        // 58-bit line numbers: a 58-, 50-, 43- or 36-bit tag plus the two flag bits.
-        assert_eq!(field_bytes(1), 8);
-        assert_eq!(field_bytes(256), 7);
-        assert_eq!(field_bytes(32_768), 6);
-        assert_eq!(field_bytes(1 << 22), 5);
+    fn field_width_grows_with_the_largest_stored_tag() {
+        // Skylake's 15 set bits leave a 13-bit tag for a STREAM array address, 19 bits for
+        // the sweep's traffic region and 41 bits just below 2^62, plus the two flag bits.
+        for (addr, width) in [
+            (0x3_0000_0000, 2),
+            (0x80_0000_0000, 3),
+            ((1 << 62) - CACHE_LINE_BYTES, 6),
+        ] {
+            let mut c = skylake_llc();
+            c.access(addr, false);
+            assert_eq!(bytes_per_line(&c), width, "after {addr:#x}");
+        }
+        // The width never shrinks.
+        let mut c = skylake_llc();
+        for addr in [0x80_0000_0000, 0x3_0000_0000, 0x40] {
+            c.access(addr, false);
+            assert_eq!(bytes_per_line(&c), 3, "after {addr:#x}");
+        }
+    }
+
+    /// Every packed field of `c`, set-major and most recently used first.
+    fn field_values(c: &LastLevelCache) -> Vec<u64> {
+        (0..c.fields.len() - WINDOW_PAD)
+            .step_by(c.width)
+            .map(|at| read_window(&c.fields, at) & c.field_mask)
+            .collect()
+    }
+
+    #[test]
+    fn widening_keeps_every_line_its_recency_and_its_dirty_bit() {
+        // 256 sets of 4 ways: tags below 64 fit in one byte, 2^40 needs six.
+        let config = CacheConfig::new(64 * 1024, 4);
+        let (sets, ways) = (config.sets() as u64, config.ways as u64);
+        let mut cache = LastLevelCache::new(config);
+        let mut reference = TimestampLru::new(config);
+        let mut access = |cache: &mut LastLevelCache, tag: u64, set: u64, is_store: bool| {
+            let addr = (tag * sets + set) * CACHE_LINE_BYTES;
+            let got = cache.access(addr, is_store);
+            assert_eq!(got, reference.access(addr, is_store), "{addr:#x}");
+        };
+        // Fill every set, dirtying every other line, then touch one line per set again so
+        // that recency differs from insertion order.
+        for set in 0..sets {
+            for tag in 0..ways {
+                access(&mut cache, tag, set, (tag + set) % 2 == 0);
+            }
+            access(&mut cache, set % ways, set, false);
+        }
+        assert_eq!(cache.width, 1);
+        let before = field_values(&cache);
+
+        let (wide, widened_set) = (1 << 40, 7);
+        access(&mut cache, wide, widened_set, false);
+        assert_eq!(cache.width, 6);
+        let after = field_values(&cache);
+        for set in 0..sets as usize {
+            let slots = set * ways as usize..(set + 1) * ways as usize;
+            let want = if set == widened_set as usize {
+                let mut want = vec![wide << FIELD_TAG_SHIFT | FIELD_VALID];
+                want.extend_from_slice(&before[slots.start..slots.end - 1]);
+                want
+            } else {
+                before[slots.clone()].to_vec()
+            };
+            assert_eq!(after[slots], want, "set {set}");
+        }
+
+        // Fresh wide tags evict the old lines least recently used first, writing back
+        // exactly the dirty ones, as the reference does.
+        for set in 0..sets {
+            for tag in wide + 1..=wide + ways {
+                access(&mut cache, tag, set, false);
+            }
+        }
+        assert_eq!(*cache.stats(), reference.stats);
     }
 
     #[test]
@@ -533,7 +633,8 @@ mod tests {
             words in proptest::collection::vec(0u64..u64::MAX, 2_000..4_000),
         ) {
             let ways = [1u32, 2, 11, 16, 256][way_choice];
-            // 8-byte fields at 1, 2 and 4 sets, 7 bytes at 256 and 6 bytes at 32,768.
+            // The fields widen as larger tags arrive, up to 8 bytes at 1, 2 and 4 sets,
+            // 7 bytes at 256 and 6 bytes at 32,768.
             let sets = [1u64, 2, 4, 256, 32_768][set_choice];
             let config = CacheConfig::new(sets * ways as u64 * CACHE_LINE_BYTES, ways);
             prop_assert_eq!(config.sets() as u64, sets);

@@ -300,6 +300,7 @@ impl Engine {
         // registry once at run end. The hot loop never touches an atomic.
         let mut ticks = 0u64;
         let mut drain_batches = 0u64;
+        let llc_before = *self.llc.stats();
         self.run_issued = 0;
         self.cores_done = self.cores.iter().filter(|c| c.done).count();
         for core_idx in 0..self.cores.len() {
@@ -436,6 +437,22 @@ impl Engine {
             metrics.sim_ops.with(&labels).add(completed_memory_ops);
             metrics.issued.with(&labels).add(self.run_issued);
             metrics.drain_batches.with(&labels).add(drain_batches);
+            // The cache's counters accumulate over the engine's runs; flush this run's share.
+            let hits = |s: &CacheStats| s.load_hits + s.store_hits;
+            let misses = |s: &CacheStats| s.load_misses + s.store_misses;
+            let llc = self.llc.stats();
+            metrics
+                .llc_hits
+                .with(&labels)
+                .add(hits(llc) - hits(&llc_before));
+            metrics
+                .llc_misses
+                .with(&labels)
+                .add(misses(llc) - misses(&llc_before));
+            metrics
+                .llc_writebacks
+                .with(&labels)
+                .add(llc.writebacks - llc_before.writebacks);
         }
         let memory = window.measure(backend);
         let bandwidth = memory.bandwidth_over(Cycle::new(now.max(1)), self.config.frequency);

@@ -25,6 +25,12 @@ pub(crate) struct EngineMetrics {
     /// `mess_engine_drain_batches_total{backend=}`: non-empty completion drains (mean
     /// batch size = `sim_ops / drain_batches`).
     pub drain_batches: CounterVec,
+    /// `mess_engine_llc_hits_total{backend=}`: LLC load and store hits.
+    pub llc_hits: CounterVec,
+    /// `mess_engine_llc_misses_total{backend=}`: LLC load and store misses (each a fill).
+    pub llc_misses: CounterVec,
+    /// `mess_engine_llc_writebacks_total{backend=}`: dirty LLC evictions (each a write).
+    pub llc_writebacks: CounterVec,
 }
 
 impl EngineMetrics {
@@ -68,6 +74,21 @@ impl EngineMetrics {
                     .counter_vec(
                         "mess_engine_drain_batches_total",
                         "Non-empty completion drains; mean batch = sim_ops / drain_batches",
+                    )
+                    .expect(expect),
+                llc_hits: registry
+                    .counter_vec("mess_engine_llc_hits_total", "LLC load and store hits")
+                    .expect(expect),
+                llc_misses: registry
+                    .counter_vec(
+                        "mess_engine_llc_misses_total",
+                        "LLC load and store misses, each a memory fill",
+                    )
+                    .expect(expect),
+                llc_writebacks: registry
+                    .counter_vec(
+                        "mess_engine_llc_writebacks_total",
+                        "Dirty LLC evictions, each a memory write",
                     )
                     .expect(expect),
             }
