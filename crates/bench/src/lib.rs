@@ -9,8 +9,7 @@
 //! * [`traffic`] — the bandwidth generator (paced load/store mix over per-lane arrays);
 //! * [`sweep`] — the driver that turns a (store-mix × pause) grid into a
 //!   [`mess_core::CurveFamily`];
-//! * [`trace`] — memory-trace capture and trace-driven replay (paper §IV-D);
-//! * [`host`] — a portable native port that measures the build machine itself.
+//! * [`trace`] — memory-trace capture and trace-driven replay (paper §IV-D).
 //!
 //! Sweep points are independent simulations, so [`characterize`] runs them on a
 //! `mess-exec` worker pool: the caller passes a `Send + Sync` *factory* and every worker
@@ -33,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod chase;
-pub mod host;
 pub mod sweep;
 pub mod trace;
 pub mod traffic;

@@ -82,7 +82,7 @@ impl Op {
 /// engines inside worker threads and may move prepared streams into them, so a stream type
 /// that cannot cross threads should fail here, at the type level, rather than deep inside a
 /// harness driver. Streams are plain generator state (a cursor, a seed, a config), so the
-/// bound is free in practice; for [`FnStream`] it surfaces as `F: Send` on the closure.
+/// bound is free in practice.
 pub trait OpStream: Send {
     /// Produces the next operation, or `None` when the stream is exhausted.
     fn next_op(&mut self) -> Option<Op>;
@@ -144,40 +144,6 @@ impl OpStream for VecStream {
 
     fn label(&self) -> &str {
         &self.label
-    }
-}
-
-/// A stream that repeats a generating closure forever (used for background traffic lanes).
-pub struct FnStream<F: FnMut() -> Op> {
-    f: F,
-    label: String,
-}
-
-impl<F: FnMut() -> Op + Send> FnStream<F> {
-    /// Creates an infinite stream driven by `f`.
-    pub fn new(f: F, label: impl Into<String>) -> Self {
-        FnStream {
-            f,
-            label: label.into(),
-        }
-    }
-}
-
-impl<F: FnMut() -> Op + Send> OpStream for FnStream<F> {
-    fn next_op(&mut self) -> Option<Op> {
-        Some((self.f)())
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-}
-
-impl<F: FnMut() -> Op> std::fmt::Debug for FnStream<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FnStream")
-            .field("label", &self.label)
-            .finish_non_exhaustive()
     }
 }
 
@@ -246,35 +212,5 @@ mod tests {
         assert_eq!(got, expected);
         // Once exhausted, every further refill stays empty.
         assert_eq!(by_block.fill_block(&mut block), 0);
-    }
-
-    #[test]
-    fn fn_stream_debug_works_for_closures() {
-        let mut n = 0u64;
-        let s = FnStream::new(
-            move || {
-                n += 64;
-                Op::load(n)
-            },
-            "lane 3",
-        );
-        let rendered = format!("{s:?}");
-        assert!(rendered.contains("lane 3"), "got {rendered}");
-    }
-
-    #[test]
-    fn fn_stream_is_infinite() {
-        let mut n = 0u64;
-        let mut s = FnStream::new(
-            move || {
-                n += 64;
-                Op::load(n)
-            },
-            "gen",
-        );
-        for _ in 0..1000 {
-            assert!(s.next_op().is_some());
-        }
-        assert_eq!(s.label(), "gen");
     }
 }

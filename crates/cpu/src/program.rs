@@ -335,11 +335,6 @@ impl OpProgram {
         self
     }
 
-    /// Number of ops in the packed body (the compile-time materialization cost).
-    pub fn body_len(&self) -> usize {
-        self.body.len()
-    }
-
     /// The largest offset the cursor adds to a body address, or `None` if it overflows
     /// `u64`, for a program that emits at least one op. Without a wrap that is the offset
     /// of the last trip of a pass; with one, the trip offsets are multiples of the stride

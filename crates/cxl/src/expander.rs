@@ -200,79 +200,78 @@ impl MemoryBackend for CxlExpanderModel {
     }
 }
 
-/// A small closed-loop driver used by tests and by the validation experiments: keeps `mlp`
-/// requests in flight with the given read fraction and returns the sustained bandwidth and
-/// average latency.
-pub fn drive_closed_loop(
-    model: &mut CxlExpanderModel,
-    mlp: usize,
-    total_ops: u64,
-    read_fraction: f64,
-) -> (Bandwidth, Latency) {
-    let freq = model.config.cpu_frequency;
-    let mut issued = 0u64;
-    let mut completed = 0u64;
-    let mut now = 0u64;
-    let mut in_flight = 0usize;
-    let mut out = Vec::new();
-    let mut lat_sum = 0u64;
-    let mut read_accum = 0.0f64;
-    let mut deferred: VecDeque<AccessKind> = VecDeque::new();
-    while completed < total_ops && now < 500_000_000 {
-        model.tick(Cycle::new(now));
-        out.clear();
-        model.drain_completed(&mut out);
-        for c in &out {
-            completed += 1;
-            in_flight -= 1;
-            lat_sum += c.latency().as_u64();
-        }
-        while in_flight < mlp && issued < total_ops {
-            let kind = if let Some(k) = deferred.pop_front() {
-                k
-            } else {
-                read_accum += read_fraction;
-                if read_accum >= 1.0 {
-                    read_accum -= 1.0;
-                    AccessKind::Read
-                } else {
-                    AccessKind::Write
-                }
-            };
-            let req = Request {
-                id: mess_types::RequestId(issued),
-                addr: issued * CACHE_LINE_BYTES,
-                kind,
-                issue_cycle: Cycle::new(now),
-                core: 0,
-            };
-            if model.try_enqueue(req).is_ok() {
-                issued += 1;
-                in_flight += 1;
-            } else {
-                deferred.push_back(kind);
-                break;
-            }
-        }
-        // v2 protocol: nothing can change until the expander's next event (a completion or
-        // a link-queue departure), so jump straight to it instead of ticking every cycle.
-        now = model
-            .next_event()
-            .map_or(now + 1, |c| c.as_u64())
-            .max(now + 1);
-    }
-    let elapsed = Cycle::new(now).to_latency(freq);
-    let bw = Bandwidth::from_bytes_over(
-        mess_types::Bytes::new(completed * CACHE_LINE_BYTES),
-        elapsed,
-    );
-    let lat = Cycle::new(lat_sum / completed.max(1)).to_latency(freq);
-    (bw, lat)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A closed-loop driver: keeps `mlp` requests in flight with the given read fraction and
+    /// returns the sustained bandwidth and average latency.
+    fn drive_closed_loop(
+        model: &mut CxlExpanderModel,
+        mlp: usize,
+        total_ops: u64,
+        read_fraction: f64,
+    ) -> (Bandwidth, Latency) {
+        let freq = model.config.cpu_frequency;
+        let mut issued = 0u64;
+        let mut completed = 0u64;
+        let mut now = 0u64;
+        let mut in_flight = 0usize;
+        let mut out = Vec::new();
+        let mut lat_sum = 0u64;
+        let mut read_accum = 0.0f64;
+        let mut deferred: VecDeque<AccessKind> = VecDeque::new();
+        while completed < total_ops && now < 500_000_000 {
+            model.tick(Cycle::new(now));
+            out.clear();
+            model.drain_completed(&mut out);
+            for c in &out {
+                completed += 1;
+                in_flight -= 1;
+                lat_sum += c.latency().as_u64();
+            }
+            while in_flight < mlp && issued < total_ops {
+                let kind = if let Some(k) = deferred.pop_front() {
+                    k
+                } else {
+                    read_accum += read_fraction;
+                    if read_accum >= 1.0 {
+                        read_accum -= 1.0;
+                        AccessKind::Read
+                    } else {
+                        AccessKind::Write
+                    }
+                };
+                let req = Request {
+                    id: mess_types::RequestId(issued),
+                    addr: issued * CACHE_LINE_BYTES,
+                    kind,
+                    issue_cycle: Cycle::new(now),
+                    core: 0,
+                };
+                if model.try_enqueue(req).is_ok() {
+                    issued += 1;
+                    in_flight += 1;
+                } else {
+                    deferred.push_back(kind);
+                    break;
+                }
+            }
+            // v2 protocol: nothing can change until the expander's next event (a completion or
+            // a link-queue departure), so jump straight to it instead of ticking every cycle.
+            now = model
+                .next_event()
+                .map_or(now + 1, |c| c.as_u64())
+                .max(now + 1);
+        }
+        let elapsed = Cycle::new(now).to_latency(freq);
+        let bw = Bandwidth::from_bytes_over(
+            mess_types::Bytes::new(completed * CACHE_LINE_BYTES),
+            elapsed,
+        );
+        let lat = Cycle::new(lat_sum / completed.max(1)).to_latency(freq);
+        (bw, lat)
+    }
 
     fn model() -> CxlExpanderModel {
         CxlExpanderModel::new(CxlExpanderConfig::paper_device(Frequency::from_ghz(2.0)))

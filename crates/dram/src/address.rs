@@ -153,12 +153,6 @@ impl AddressMapping {
     fn fold(row: u64) -> u64 {
         row.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32
     }
-
-    /// Returns the number of consecutive bytes mapped to the same row of the same bank before
-    /// the stream moves to another bank (the "row run length" seen by streaming traffic).
-    pub fn sequential_row_run_bytes(&self) -> u64 {
-        self.lines_per_row * CACHE_LINE_BYTES * self.channels as u64
-    }
 }
 
 #[cfg(test)]
@@ -186,8 +180,9 @@ mod tests {
     #[test]
     fn sequential_stream_stays_in_row_before_switching_bank() {
         let m = mapping();
-        let run = m.sequential_row_run_bytes();
-        assert_eq!(run, 8192 / 64 * 64 * 6);
+        // A streaming run covers one 8 KiB row on each of the six channels before the
+        // stream moves to another bank.
+        let run = 8192 / CACHE_LINE_BYTES * CACHE_LINE_BYTES * 6;
         let first = m.decode(0);
         let last_in_run = m.decode(run - CACHE_LINE_BYTES);
         let next = m.decode(run);

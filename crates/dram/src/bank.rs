@@ -170,14 +170,6 @@ impl BankArray {
             *ready = (*ready).max(cycle);
         }
     }
-
-    /// Blocks bank `i` until `cycle` and closes its row.
-    pub fn block_until(&mut self, i: usize, cycle: u64) {
-        self.open_row[i] = NO_OPEN_ROW;
-        self.activate_ready[i] = self.activate_ready[i].max(cycle);
-        self.column_ready[i] = self.column_ready[i].max(cycle);
-        self.precharge_ready[i] = self.precharge_ready[i].max(cycle);
-    }
 }
 
 #[cfg(test)]
@@ -260,16 +252,6 @@ mod tests {
         // clamped to 0, so precharge_ready >= activate + tRAS).
         let col = b.earliest_column(0, 2, 11, &t);
         assert!(col >= t.ras.saturating_sub(t.rcd) + t.rp + t.rcd);
-    }
-
-    #[test]
-    fn block_until_closes_row_and_delays_everything() {
-        let t = timing();
-        let mut b = one_bank();
-        b.access(0, 1, 10, false, &t);
-        b.block_until(0, 5000);
-        assert_eq!(b.open_row(0), None);
-        assert!(b.earliest_column(0, 1, 0, &t) >= 5000 + t.rcd);
     }
 
     #[test]

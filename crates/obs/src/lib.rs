@@ -7,8 +7,8 @@
 //!
 //! * **Metrics** ([`metrics`]): monotonic [`Counter`]s, up/down [`Gauge`]s and bucketed
 //!   [`Histogram`]s behind one process-global [`Registry`], rendered in the Prometheus
-//!   text exposition format (`messd` serves it at `GET /v1/metrics`, the harness prints it
-//!   under `--metrics`).
+//!   text exposition format (`messd` serves it at `GET /v1/metrics`, followed by its own
+//!   per-daemon registry; the harness prints it under `--metrics`).
 //! * **Tracing** ([`trace`]): hierarchical timed [`Span`]s collected into an in-memory
 //!   buffer and written as NDJSON (`mess-harness --trace-out <file>`).
 //!
@@ -16,11 +16,12 @@
 //!
 //! Both channels are **off by default** and gated on one relaxed atomic load each
 //! ([`enabled`] for metrics, [`trace::active`] for spans). Every instrumentation site in
-//! the workspace checks the gate first, so a disabled build path costs one predictable
-//! branch — no allocation, no atomic read-modify-write, no lock. Hot loops (the CPU
-//! engine's cycle loop) go further: they accumulate plain local integers unconditionally
-//! and flush them to the registry once per run, so even the *enabled* path adds nothing
-//! per simulated cycle.
+//! the workspace checks the gate first (except messd's per-daemon counters, which are the
+//! source of its `/v1/stats` and always count), so a disabled build path costs one
+//! predictable branch — no allocation, no atomic read-modify-write, no lock. Hot loops
+//! (the CPU engine's cycle loop) go further: they accumulate plain local integers
+//! unconditionally and flush them to the registry once per run, so even the *enabled*
+//! path adds nothing per simulated cycle.
 //!
 //! # The determinism contract
 //!

@@ -271,15 +271,16 @@ impl HistogramVec {
 
 /// The metric registry: a set of named families, rendered as one Prometheus text page.
 ///
-/// Use [`Registry::global`] everywhere except tests — the whole point is one page that
-/// covers every layer of the process.
+/// Library layers register in [`Registry::global`], so one page covers every layer of the
+/// process. A component whose counts belong to one instance of it (a daemon, when one
+/// process runs several) owns a [`Registry::new`] and renders it after the global page.
 #[derive(Debug, Default)]
 pub struct Registry {
     families: Mutex<BTreeMap<String, Arc<FamilyInner>>>,
 }
 
 impl Registry {
-    /// An empty registry (tests; production code uses [`Registry::global`]).
+    /// An empty registry, for families counted per instance rather than per process.
     pub fn new() -> Registry {
         Registry::default()
     }

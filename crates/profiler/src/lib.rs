@@ -63,44 +63,22 @@ pub struct PlacedSample {
     pub stress_score: f64,
 }
 
-/// Weights of the stress-score components.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StressWeights {
-    /// Weight of the normalised latency term.
-    pub latency: f64,
-    /// Weight of the normalised inclination term.
-    pub inclination: f64,
-}
+/// Weight of the normalised latency term in the stress score.
+const LATENCY_WEIGHT: f64 = 0.6;
 
-impl Default for StressWeights {
-    fn default() -> Self {
-        StressWeights {
-            latency: 0.6,
-            inclination: 0.4,
-        }
-    }
-}
+/// Weight of the normalised inclination term; the two weights sum to exactly 1.0.
+const INCLINATION_WEIGHT: f64 = 0.4;
 
 /// The Mess application profiler for one target memory system.
 #[derive(Debug, Clone)]
 pub struct Profiler {
     family: CurveFamily,
-    weights: StressWeights,
 }
 
 impl Profiler {
     /// Creates a profiler for the memory system described by `family`.
     pub fn new(family: CurveFamily) -> Self {
-        Profiler {
-            family,
-            weights: StressWeights::default(),
-        }
-    }
-
-    /// Replaces the stress-score weights.
-    pub fn with_weights(mut self, weights: StressWeights) -> Self {
-        self.weights = weights;
-        self
+        Profiler { family }
     }
 
     /// The curve family the profiler positions samples on.
@@ -133,11 +111,8 @@ impl Profiler {
             .max(1e-9);
         let inclination_norm = (inclination / max_inclination).clamp(0.0, 1.0);
 
-        let total = (self.weights.latency + self.weights.inclination).max(1e-9);
-        let stress_score = ((self.weights.latency * latency_norm
-            + self.weights.inclination * inclination_norm)
-            / total)
-            .clamp(0.0, 1.0);
+        let stress_score =
+            (LATENCY_WEIGHT * latency_norm + INCLINATION_WEIGHT * inclination_norm).clamp(0.0, 1.0);
         PlacedSample {
             sample: *sample,
             latency,

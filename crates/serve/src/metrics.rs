@@ -1,15 +1,19 @@
-//! Service-layer metric handles, registered once.
+//! Service-layer metric handles, one set per daemon.
 //!
-//! Everything here is a mirror of state the daemon already tracks for `/v1/stats` —
-//! the counters are bumped at the same sites, so `/v1/metrics` (Prometheus text) and
-//! `/v1/stats` (JSON) can never disagree about what happened. Gauges follow the
-//! add/sub discipline so several daemons in one process compose.
+//! Each [`Daemon`](crate::queue::Daemon) registers these in a registry of its own, and
+//! they are the only record of what it did: `/v1/stats` (JSON) reads its lifetime
+//! counters from them and `/v1/metrics` (Prometheus text) renders them after the
+//! process-global families, so the two endpoints can never disagree. Being per daemon,
+//! the counts stay exact when one process runs several daemons.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use mess_obs::{Counter, Gauge, Histogram, Registry, DEFAULT_LATENCY_BUCKETS};
 
+#[derive(Debug)]
 pub(crate) struct ServeMetrics {
+    /// The daemon's own registry, holding every handle below.
+    pub registry: Registry,
     /// `mess_serve_requests_total`: HTTP requests answered (any status).
     pub requests: Arc<Counter>,
     /// `mess_serve_request_latency_seconds`: wall time from parsed request to response
@@ -36,70 +40,48 @@ pub(crate) struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    pub(crate) fn get() -> &'static ServeMetrics {
-        static METRICS: OnceLock<ServeMetrics> = OnceLock::new();
-        METRICS.get_or_init(|| {
-            let registry = Registry::global();
-            let expect = "mess_serve metric names are registered once";
-            ServeMetrics {
-                requests: registry
-                    .counter("mess_serve_requests_total", "HTTP requests answered")
-                    .expect(expect),
-                request_latency: registry
-                    .histogram(
-                        "mess_serve_request_latency_seconds",
-                        "Request handling latency in seconds",
-                        DEFAULT_LATENCY_BUCKETS,
-                    )
-                    .expect(expect),
-                runs_executed: registry
-                    .counter(
-                        "mess_serve_runs_executed_total",
-                        "Runs that executed the engine",
-                    )
-                    .expect(expect),
-                runs_panicked: registry
-                    .counter(
-                        "mess_serve_runs_panicked_total",
-                        "Runs whose engine panicked",
-                    )
-                    .expect(expect),
-                cache_hits: registry
-                    .counter(
-                        "mess_serve_cache_hits_total",
-                        "Submissions answered from the result cache",
-                    )
-                    .expect(expect),
-                cache_misses: registry
-                    .counter(
-                        "mess_serve_cache_misses_total",
-                        "Cache-consulting submissions that missed",
-                    )
-                    .expect(expect),
-                cache_refresh: registry
-                    .counter(
-                        "mess_serve_cache_refresh_total",
-                        "Refresh runs that overwrote their cache entry",
-                    )
-                    .expect(expect),
-                deduplicated: registry
-                    .counter(
-                        "mess_serve_deduplicated_total",
-                        "Submissions coalesced onto an in-flight run",
-                    )
-                    .expect(expect),
-                queue_depth: registry
-                    .gauge("mess_serve_queue_depth", "Runs in the admission queue")
-                    .expect(expect),
-                running_runs: registry
-                    .gauge("mess_serve_running_runs", "Runs executing right now")
-                    .expect(expect),
-            }
-        })
-    }
-
-    /// The handles when observability is enabled, `None` (one relaxed load) otherwise.
-    pub(crate) fn if_enabled() -> Option<&'static ServeMetrics> {
-        mess_obs::enabled().then(ServeMetrics::get)
+    /// Registers every handle in a fresh registry.
+    pub(crate) fn new() -> ServeMetrics {
+        let registry = Registry::new();
+        let expect = "mess_serve metric names are registered once per registry";
+        let counter = |name: &str, help: &str| registry.counter(name, help).expect(expect);
+        let gauge = |name: &str, help: &str| registry.gauge(name, help).expect(expect);
+        ServeMetrics {
+            requests: counter("mess_serve_requests_total", "HTTP requests answered"),
+            request_latency: registry
+                .histogram(
+                    "mess_serve_request_latency_seconds",
+                    "Request handling latency in seconds",
+                    DEFAULT_LATENCY_BUCKETS,
+                )
+                .expect(expect),
+            runs_executed: counter(
+                "mess_serve_runs_executed_total",
+                "Runs that executed the engine",
+            ),
+            runs_panicked: counter(
+                "mess_serve_runs_panicked_total",
+                "Runs whose engine panicked",
+            ),
+            cache_hits: counter(
+                "mess_serve_cache_hits_total",
+                "Submissions answered from the result cache",
+            ),
+            cache_misses: counter(
+                "mess_serve_cache_misses_total",
+                "Cache-consulting submissions that missed",
+            ),
+            cache_refresh: counter(
+                "mess_serve_cache_refresh_total",
+                "Refresh runs that overwrote their cache entry",
+            ),
+            deduplicated: counter(
+                "mess_serve_deduplicated_total",
+                "Submissions coalesced onto an in-flight run",
+            ),
+            queue_depth: gauge("mess_serve_queue_depth", "Runs in the admission queue"),
+            running_runs: gauge("mess_serve_running_runs", "Runs executing right now"),
+            registry,
+        }
     }
 }

@@ -35,7 +35,7 @@ use std::fs;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -326,14 +326,6 @@ pub struct SubmitError {
 }
 
 #[derive(Debug, Default)]
-struct StatsCounters {
-    runs_executed: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    deduplicated: AtomicU64,
-}
-
-#[derive(Debug, Default)]
 struct RunTable {
     runs: HashMap<String, Arc<Run>>,
     /// digest (hex) → id of the queued/running run executing it, for coalescing.
@@ -352,7 +344,8 @@ pub struct Daemon {
     queue: Mutex<VecDeque<Arc<Run>>>,
     queue_cond: Condvar,
     shutdown: AtomicBool,
-    stats: StatsCounters,
+    /// Every counter and gauge of the daemon; `/v1/stats` reads its counters from here.
+    pub(crate) metrics: ServeMetrics,
 }
 
 impl Daemon {
@@ -374,7 +367,7 @@ impl Daemon {
             queue: Mutex::new(VecDeque::new()),
             queue_cond: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            stats: StatsCounters::default(),
+            metrics: ServeMetrics::new(),
         }))
     }
 
@@ -417,10 +410,10 @@ impl Daemon {
             }
         }
         StatsBody {
-            runs_executed: self.stats.runs_executed.load(Ordering::Relaxed),
-            cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.stats.cache_misses.load(Ordering::Relaxed),
-            deduplicated: self.stats.deduplicated.load(Ordering::Relaxed),
+            runs_executed: self.metrics.runs_executed.get(),
+            cache_hits: self.metrics.cache_hits.get(),
+            cache_misses: self.metrics.cache_misses.get(),
+            deduplicated: self.metrics.deduplicated.get(),
             evicted: self.cache.evicted(),
             cache_entries: self.cache.entries(),
             active_runs: queued + running,
@@ -483,10 +476,7 @@ impl Daemon {
                 if let Some(existing) = table.runs.get(&existing_id) {
                     let phase = existing.phase();
                     if !phase.is_terminal() {
-                        self.stats.deduplicated.fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = ServeMetrics::if_enabled() {
-                            m.deduplicated.inc();
-                        }
+                        self.metrics.deduplicated.inc();
                         return Ok(SubmitReceipt {
                             run: existing_id,
                             digest: digest.to_string(),
@@ -512,15 +502,10 @@ impl Daemon {
         drop(table);
 
         if cache_mode == CacheMode::Use {
-            self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = ServeMetrics::if_enabled() {
-                m.cache_misses.inc();
-            }
+            self.metrics.cache_misses.inc();
         }
         self.queue.lock().unwrap().push_back(run);
-        if let Some(m) = ServeMetrics::if_enabled() {
-            m.queue_depth.inc();
-        }
+        self.metrics.queue_depth.inc();
         self.queue_cond.notify_one();
         Ok(SubmitReceipt {
             run: id,
@@ -586,10 +571,7 @@ impl Daemon {
         }
         table.runs.insert(id.clone(), Arc::clone(&run));
         drop(table);
-        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = ServeMetrics::if_enabled() {
-            m.cache_hits.inc();
-        }
+        self.metrics.cache_hits.inc();
         Some(SubmitReceipt {
             run: id,
             digest: digest.to_string(),
@@ -599,13 +581,21 @@ impl Daemon {
         })
     }
 
-    /// Requests cancellation of a run. Queued runs become `cancelled` immediately and
-    /// never execute; a running run's token stops any not-yet-dispatched legs, but
-    /// in-flight legs complete (the run then finishes normally — partial results are
-    /// never published). Returns the post-cancel status, or `None` for unknown ids.
+    /// Requests cancellation of a run. Queued runs leave the queue, become `cancelled`
+    /// immediately and never execute; a running run's token stops any not-yet-dispatched
+    /// legs, but in-flight legs complete (the run then finishes normally — partial
+    /// results are never published). Returns the post-cancel status, or `None` for
+    /// unknown ids.
     pub fn cancel_run(&self, id: &str) -> Option<RunStatus> {
         let run = self.run(id)?;
         run.cancel.cancel();
+        {
+            let mut queue = self.queue.lock().unwrap();
+            if let Some(pos) = queue.iter().position(|queued| Arc::ptr_eq(queued, &run)) {
+                queue.remove(pos);
+                self.metrics.queue_depth.dec();
+            }
+        }
         {
             let mut inner = run.inner.lock().unwrap();
             if inner.phase == RunPhase::Queued {
@@ -642,9 +632,7 @@ impl Daemon {
                         return;
                     }
                     if let Some(run) = queue.pop_front() {
-                        if let Some(m) = ServeMetrics::if_enabled() {
-                            m.queue_depth.dec();
-                        }
+                        self.metrics.queue_depth.dec();
                         break run;
                     }
                     queue = self.queue_cond.wait(queue).unwrap();
@@ -659,33 +647,25 @@ impl Daemon {
         {
             let mut inner = run.inner.lock().unwrap();
             if inner.phase != RunPhase::Queued {
-                return; // cancelled while queued
+                return; // cancelled between the pop and here
             }
             inner.phase = RunPhase::Running;
             run.cond.notify_all();
         }
-        let metrics = ServeMetrics::if_enabled();
-        if let Some(m) = metrics {
-            m.running_runs.inc();
-        }
+        self.metrics.running_runs.inc();
 
         let result = catch_unwind(AssertUnwindSafe(|| self.run_engine(run)));
         let outcome = match result {
             Ok(outcome) => outcome,
             Err(payload) => {
-                if let Some(m) = metrics {
-                    m.runs_panicked.inc();
-                }
+                self.metrics.runs_panicked.inc();
                 Err(panic_error(payload))
             }
         };
 
         match outcome {
             Ok((reports, curve_sets)) => {
-                self.stats.runs_executed.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = metrics {
-                    m.runs_executed.inc();
-                }
+                self.metrics.runs_executed.inc();
                 match self.publish(run, &reports, &curve_sets) {
                     Ok((artifacts, refresh_identical)) => {
                         let mut inner = run.inner.lock().unwrap();
@@ -709,9 +689,7 @@ impl Daemon {
             Err(MessError::Cancelled) => self.fail(run, "", RunPhase::Cancelled),
             Err(e) => self.fail(run, &e.to_string(), RunPhase::Failed),
         }
-        if let Some(m) = metrics {
-            m.running_runs.dec();
-        }
+        self.metrics.running_runs.dec();
         self.clear_inflight(run);
     }
 
@@ -831,9 +809,7 @@ impl Daemon {
                     refresh,
                 )?;
                 if refresh {
-                    if let Some(m) = ServeMetrics::if_enabled() {
-                        m.cache_refresh.inc();
-                    }
+                    self.metrics.cache_refresh.inc();
                 }
                 let artifacts = meta
                     .artifacts

@@ -7,7 +7,7 @@
 //! |---|---|
 //! | `GET /v1/healthz` | liveness probe |
 //! | `GET /v1/stats` | lifetime counters and current gauges ([`StatsBody`](crate::protocol::StatsBody)) |
-//! | `GET /v1/metrics` | every registered metric, Prometheus text exposition v0.0.4 |
+//! | `GET /v1/metrics` | the process-wide metrics, then this daemon's `mess_serve_*` ones: Prometheus text exposition v0.0.4 |
 //! | `POST /v1/scenarios` | `ScenarioSpec` JSON → [`SubmitReceipt`](crate::protocol::SubmitReceipt) |
 //! | `POST /v1/campaigns` | `CampaignSpec` JSON → [`SubmitReceipt`](crate::protocol::SubmitReceipt) |
 //! | `GET /v1/runs/<id>` | [`RunStatus`](crate::protocol::RunStatus) |
@@ -154,14 +154,13 @@ fn handle_connection(daemon: &Arc<Daemon>, mut stream: TcpStream) {
     };
     // Request accounting brackets the whole route (event streams included), so the
     // latency histogram measures what a client actually waited.
-    let start = crate::metrics::ServeMetrics::if_enabled().map(|m| {
-        m.requests.inc();
-        std::time::Instant::now()
-    });
+    daemon.metrics.requests.inc();
+    let start = std::time::Instant::now();
     route(daemon, &mut stream, &request);
-    if let (Some(m), Some(start)) = (crate::metrics::ServeMetrics::if_enabled(), start) {
-        m.request_latency.observe(start.elapsed().as_secs_f64());
-    }
+    daemon
+        .metrics
+        .request_latency
+        .observe(start.elapsed().as_secs_f64());
 }
 
 fn route(daemon: &Arc<Daemon>, stream: &mut TcpStream, request: &Request) {
@@ -176,7 +175,10 @@ fn route(daemon: &Arc<Daemon>, stream: &mut TcpStream, request: &Request) {
         ),
         ("GET", ["v1", "stats"]) => send_json(stream, 200, &daemon.stats()),
         ("GET", ["v1", "metrics"]) => {
-            let body = mess_obs::Registry::global().render_prometheus();
+            // Every process-wide family name sorts before `mess_serve_`, so the page
+            // stays in one sorted order.
+            let body = mess_obs::Registry::global().render_prometheus()
+                + &daemon.metrics.registry.render_prometheus();
             let _ = http::respond(
                 stream,
                 200,

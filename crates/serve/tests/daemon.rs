@@ -29,6 +29,19 @@ fn start_server(tag: &str, admission: usize) -> (Server, ServeClient, PathBuf) {
     (server, client, cache_dir)
 }
 
+/// The value of the unlabelled series `name` in a Prometheus text page.
+fn sample(metrics: &str, name: &str) -> f64 {
+    metrics
+        .lines()
+        .find(|l| l.starts_with(name) && l.as_bytes().get(name.len()) == Some(&b' '))
+        .unwrap_or_else(|| panic!("metric `{name}` missing from:\n{metrics}"))
+        .split_whitespace()
+        .nth(1)
+        .unwrap()
+        .parse()
+        .unwrap()
+}
+
 fn characterize_spec_json() -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../harness/scenarios/characterize-skylake.json");
@@ -218,31 +231,32 @@ fn submit_stream_fetch_and_cache_hit_round_trip() {
         artifact_first
     );
 
-    // `/v1/metrics` speaks Prometheus text and covers the service families. The metric
-    // registry is process-global (tests in this binary share it), so assert lower
-    // bounds, not exact values — the single-daemon exact checks live in the CI smoke.
+    // `/v1/metrics` speaks Prometheus text and covers the service families. Each daemon
+    // counts in a registry of its own, so its `mess_serve_*` values are exact even though
+    // other tests in this binary run daemons at the same time.
     let metrics = client.metrics_text().expect("metrics endpoint answers");
-    let sample = |name: &str| -> f64 {
-        metrics
-            .lines()
-            .find(|l| l.starts_with(name) && l.as_bytes().get(name.len()) == Some(&b' '))
-            .unwrap_or_else(|| panic!("metric `{name}` missing from:\n{metrics}"))
-            .split_whitespace()
-            .nth(1)
-            .unwrap()
-            .parse()
-            .unwrap()
-    };
+    let sample = |name: &str| sample(&metrics, name);
     assert!(metrics.contains("# TYPE mess_serve_cache_hits_total counter"));
-    assert!(sample("mess_serve_cache_hits_total") >= 1.0);
-    assert!(sample("mess_serve_runs_executed_total") >= 1.0);
+    assert_eq!(sample("mess_serve_cache_hits_total"), 1.0);
+    assert_eq!(sample("mess_serve_cache_misses_total"), 1.0);
+    assert_eq!(sample("mess_serve_runs_executed_total"), 1.0);
     assert!(
         sample("mess_serve_request_latency_seconds_count") >= 1.0,
         "every request lands in the latency histogram"
     );
-    // The queue-depth gauge exists, but other tests in this binary may hold queued
-    // runs at scrape time, so only its presence and sign can be asserted here.
-    assert!(sample("mess_serve_queue_depth") >= 0.0);
+    assert_eq!(sample("mess_serve_queue_depth"), 0.0);
+    assert_eq!(sample("mess_serve_running_runs"), 0.0);
+    // The daemon's families follow the process-wide ones: one sorted page, each family
+    // once.
+    let families: Vec<&str> = metrics
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .map(|l| l.split(' ').next().unwrap())
+        .collect();
+    assert!(
+        families.windows(2).all(|pair| pair[0] < pair[1]),
+        "families out of order: {families:?}"
+    );
     // The instrumented layers below the service report through the same registry,
     // labeled per backend.
     assert!(
@@ -481,6 +495,16 @@ fn queued_runs_cancel_cleanly_without_executing() {
         .cancel(&queued.run)
         .expect("cancellation is acknowledged");
     assert_eq!(cancelled.state, "cancelled");
+    // The cancelled run left the queue at once: the gauge drops while the blocker still
+    // runs, in agreement with `/v1/stats`.
+    let metrics = client.metrics_text().unwrap();
+    assert_eq!(
+        sample(&metrics, "mess_serve_running_runs"),
+        1.0,
+        "{metrics}"
+    );
+    assert_eq!(sample(&metrics, "mess_serve_queue_depth"), 0.0, "{metrics}");
+    assert_eq!(client.stats().unwrap().queued_runs, 0);
 
     // The cancelled run's stream terminates with a cancelled Done event...
     let mut events = Vec::new();

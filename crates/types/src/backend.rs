@@ -363,11 +363,6 @@ impl StatsWindow {
         }
     }
 
-    /// Opens a window from an explicit snapshot.
-    pub fn from_snapshot(baseline: MemoryStats) -> Self {
-        StatsWindow { baseline }
-    }
-
     /// The counters accumulated since the window was opened.
     pub fn measure<B: MemoryBackend + ?Sized>(&self, backend: &B) -> MemoryStats {
         backend.stats().delta(&self.baseline)

@@ -70,23 +70,12 @@ impl CompletionQueue {
     /// Acceptance order is remembered: two completions due on the same cycle drain in the
     /// order they were scheduled.
     pub fn schedule(&mut self, completion: Completion) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.schedule_with_seq(seq, completion);
-    }
-
-    /// Schedules `completion` with an explicit tie-breaking sequence number.
-    ///
-    /// For backends whose completions surface out of acceptance order internally (e.g. a
-    /// multi-channel system collecting per-channel completions), pass the request's
-    /// acceptance sequence here so same-cycle drains still follow the documented order.
-    pub fn schedule_with_seq(&mut self, seq: u64, completion: Completion) {
-        self.seq = self.seq.max(seq + 1);
         let entry = Scheduled {
             at: completion.complete_cycle.as_u64(),
-            seq,
+            seq: self.seq,
             completion,
         };
+        self.seq += 1;
         match self.fifo.back() {
             Some(back) if entry < *back => self.heap.push(Reverse(entry)),
             _ => self.fifo.push_back(entry),

@@ -399,11 +399,6 @@ impl Frequency {
         Frequency(ghz)
     }
 
-    /// Creates a frequency from MHz.
-    pub fn from_mhz(mhz: f64) -> Self {
-        Frequency::from_ghz(mhz / 1000.0)
-    }
-
     /// Returns the frequency in GHz.
     pub const fn as_ghz(self) -> f64 {
         self.0

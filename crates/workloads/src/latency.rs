@@ -28,16 +28,6 @@ pub struct LatMemRdConfig {
 }
 
 impl LatMemRdConfig {
-    /// LMbench's main-memory configuration: a working set of `4 × llc_bytes` with a 128-byte
-    /// stride.
-    pub fn main_memory(llc_bytes: u64) -> Self {
-        LatMemRdConfig {
-            array_bytes: llc_bytes * 4,
-            stride_bytes: 128,
-            loads: 200_000,
-        }
-    }
-
     /// The op stream of the benchmark (a single-core workload): a one-op program body (a
     /// dependent load at the working set's base) whose per-trip stride wraps modulo the
     /// working-set size.
@@ -65,15 +55,6 @@ pub struct MultichaseConfig {
 }
 
 impl MultichaseConfig {
-    /// Multichase's pointer-chase configuration over a working set of `4 × llc_bytes`.
-    pub fn main_memory(llc_bytes: u64) -> Self {
-        MultichaseConfig {
-            array_bytes: llc_bytes * 4,
-            loads: 200_000,
-            seed: 0x6d75_6c74,
-        }
-    }
-
     /// Cache lines in the working set (at least two, so the chase has somewhere to go).
     pub fn lines(&self) -> u64 {
         (self.array_bytes / CACHE_LINE_BYTES).max(2)
